@@ -122,11 +122,9 @@ def instance_key(
     ...     t, 2, "center_cover", "python", {"l": 3})
     True
     """
-    fields: tuple = (table_hash(table), int(k), str(algorithm), str(backend))
-    if privacy is not None:
-        fields = fields + (_privacy_tag(privacy),)
-    payload = repr(fields).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()[:32]
+    return _key_from_hash(
+        table_hash(table), k, algorithm, backend, privacy=privacy
+    )
 
 
 def state_key(
@@ -155,9 +153,27 @@ def state_key(
     >>> len(a)
     32
     """
-    payload = repr(
-        ("state", table_hash(table), int(k), str(algorithm), str(backend))
-    ).encode("utf-8")
+    return _key_from_hash(table_hash(table), k, algorithm, backend, state=True)
+
+
+def _key_from_hash(
+    digest: str,
+    k: int,
+    algorithm: str,
+    backend: str,
+    privacy: Mapping[str, Any] | None = None,
+    *,
+    state: bool = False,
+) -> str:
+    """:func:`instance_key` (or, with *state*, :func:`state_key`) from an
+    already computed :func:`table_hash` — lets a caller that needs
+    several keys of one table hash the table once."""
+    fields: tuple = (digest, int(k), str(algorithm), str(backend))
+    if state:
+        fields = ("state",) + fields
+    elif privacy is not None:
+        fields = fields + (_privacy_tag(privacy),)
+    payload = repr(fields).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()[:32]
 
 

@@ -602,7 +602,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _serve(args) -> int:
     """The ``serve`` command: run the service until shut down."""
-    from repro.service import DEFAULT_PORT, AnonymizationService, serve
+    from repro.service import AnonymizationService, serve
 
     service = AnonymizationService(
         max_entries=args.cache_size,
@@ -617,9 +617,8 @@ def _serve(args) -> int:
         fault_injection=True if args.inject_faults else None,
         privacy_budget=args.privacy_budget,
     )
-    port = DEFAULT_PORT if args.port is None else args.port
     try:
-        serve(service, host=args.host, port=port, log=sys.stderr)
+        serve(service, host=args.host, port=args.port, log=sys.stderr)
     except KeyboardInterrupt:
         print("kanon service interrupted", file=sys.stderr)
     return 0
@@ -806,8 +805,7 @@ def _submit(args) -> int:
 
 def _route(args) -> int:
     """The ``route`` command: front a shard fleet until shut down."""
-    from repro.service import DEFAULT_ROUTER_PORT, ShardRouter
-    from repro.service.router import route
+    from repro.service import ShardRouter, serve
 
     try:
         router = ShardRouter(
@@ -820,9 +818,8 @@ def _route(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    port = DEFAULT_ROUTER_PORT if args.port is None else args.port
     try:
-        route(router, host=args.host, port=port, log=sys.stderr)
+        serve(router, host=args.host, port=args.port, log=sys.stderr)
     except KeyboardInterrupt:
         print("kanon router interrupted", file=sys.stderr)
     return 0

@@ -853,11 +853,6 @@ _BACKEND_CLASSES: dict[str, type[DistanceBackend]] = {
     "bitpacked": BitpackedBackend,
 }
 
-#: id(table) -> {backend name -> backend}; entries evicted when the
-#: table is garbage collected (tables carry a __weakref__ slot).
-_BACKEND_CACHE: dict[int, dict[str, DistanceBackend]] = {}
-
-
 def make_backend(table, name: str | None = None) -> DistanceBackend:
     """A fresh, uncached backend instance for *table*."""
     resolved = name if name is not None else default_backend_name()
@@ -878,7 +873,7 @@ def make_backend(table, name: str | None = None) -> DistanceBackend:
 def get_backend(
     table, backend: str | DistanceBackend | None = None
 ) -> DistanceBackend:
-    """The shared backend of *table* (cached per table instance).
+    """The shared backend of *table* (cached on the table instance).
 
     :param backend: ``None`` (use :func:`default_backend_name`), a
         backend name, or an existing :class:`DistanceBackend` — an
@@ -891,14 +886,15 @@ def get_backend(
         name = backend.name
     else:
         name = backend if backend is not None else default_backend_name()
-    key = id(table)
-    per_table = _BACKEND_CACHE.get(key)
+    # the table owns its backends (a backend holds its table, so a
+    # module-level cache would keep every table alive for good); the
+    # table <-> backend cycle is freed by the collector with the table
+    per_table = getattr(table, "_backends", None)
     if per_table is None:
         per_table = {}
-        _BACKEND_CACHE[key] = per_table
         try:
-            weakref.finalize(table, _BACKEND_CACHE.pop, key, None)
-        except TypeError:  # pragma: no cover - non-weakrefable table stand-in
+            table._backends = per_table
+        except AttributeError:  # pragma: no cover - stand-in without the slot
             pass
     instance = per_table.get(name)
     if instance is None:

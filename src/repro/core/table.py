@@ -37,7 +37,9 @@ class Table:
     ('Harry', 34)
     """
 
-    __slots__ = ("_rows", "_attributes", "__weakref__")
+    #: ``_backends``: the table's distance backends, freed with it (see
+    #: :func:`repro.core.backend.get_backend`)
+    __slots__ = ("_rows", "_attributes", "_backends", "__weakref__")
 
     def __init__(
         self,
@@ -249,6 +251,10 @@ class Table:
 
     def __hash__(self) -> int:
         return hash((self._rows, self._attributes))
+
+    def __getstate__(self):
+        # pickles and copies carry the data, never the derived backends
+        return None, {"_rows": self._rows, "_attributes": self._attributes}
 
     def __repr__(self) -> str:
         return f"Table(n_rows={self.n_rows}, degree={self.degree})"

@@ -41,6 +41,7 @@ private dicts.
 from __future__ import annotations
 
 import builtins
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -161,9 +162,16 @@ class AlgorithmInfo:
         return bool(fn(n, m, sigma, k))
 
     def estimated_ops(self, n: int, m: int, sigma: int, k: int) -> float:
-        """Estimated normalized operations on the instance."""
+        """Estimated normalized operations on the instance.
+
+        An estimate too large for a float (e.g. ``2.0 ** n`` at
+        n >= ~1030) is ``math.inf``: unaffordable under any budget.
+        """
         fn = self.cost_model or _DEFAULT_COST[self.kind]
-        return float(fn(n, m, sigma, k))
+        try:
+            return float(fn(n, m, sigma, k))
+        except OverflowError:
+            return math.inf
 
     def estimated_seconds(self, n: int, m: int, sigma: int, k: int) -> float:
         """Wall-clock estimate via :data:`CALIBRATED_OPS_PER_SECOND`."""

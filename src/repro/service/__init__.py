@@ -7,12 +7,14 @@ executor, and a two-tier content-addressed solution cache
 (:mod:`repro.service.cache`).  ``kanon serve`` / ``kanon submit`` are
 the CLI entry points; :class:`ServiceClient` is the programmatic one.
 
-Fleets (PR 9): ``kanon route`` runs :class:`ShardRouter`
+Fleets: ``kanon route`` runs :class:`ShardRouter`
 (:mod:`repro.service.router`) in front of many ``kanon serve`` shards,
 consistent-hashing every request onto the shard that owns its
 instance/state key via :class:`HashRing` (:mod:`repro.service.hashring`)
-so no instance is ever solved twice across the fleet.  See
-``docs/service.md`` for the protocol and the routing semantics.
+so no instance is ever solved twice across the fleet.  Shard and router
+share one admission function (:func:`repro.service.server.admit`) and
+one TCP front end (:mod:`repro.service.wire`).  See ``docs/service.md``
+for the protocol and the routing semantics.
 """
 
 from repro.service.cache import CacheStats, SolutionCache
@@ -23,16 +25,14 @@ from repro.service.router import (
     RouterServer,
     ShardRouter,
     merge_shard_stats,
-    route,
 )
 from repro.service.server import (
     DEFAULT_PORT,
     PROTOCOL_VERSION,
     AnonymizationService,
     ServiceError,
-    ServiceServer,
-    serve,
 )
+from repro.service.wire import ServiceServer, serve
 
 __all__ = [
     "AnonymizationService",
@@ -48,6 +48,5 @@ __all__ = [
     "ShardRouter",
     "SolutionCache",
     "merge_shard_stats",
-    "route",
     "serve",
 ]

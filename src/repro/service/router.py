@@ -9,16 +9,18 @@ dialect to clients and consistent-hashes every job onto the shard that
 owns it, so each shard holds a disjoint slice of the solution cache and
 **no instance is ever solved twice across the fleet**.
 
-Routing keys (:meth:`ShardRouter.routing_key`):
+Routing keys (:meth:`ShardRouter.routing_key`) come from the shards'
+own admission function, :func:`repro.service.server.admit`, so a
+request lands on the shard that caches it:
 
-* ``anonymize`` routes on :func:`repro.artifacts.instance_key` over the
-  parsed table, ``k``, the *resolved* algorithm (aliases canonicalized
-  through the registry, ``auto`` resolved through the planner — so an
-  auto request and the explicit request it resolves to land on the same
-  shard and share its cache entry), and the router's backend;
-* ``anonymize`` with ``algorithm: "incremental"`` routes on
-  :func:`repro.artifacts.state_key` instead, placing the solve on the
-  shard that must later serve ``delta`` requests against its snapshot;
+* ``anonymize`` routes on the instance key of the parsed table, ``k``,
+  the *resolved* algorithm (aliases canonicalized, ``auto`` planned
+  from the request's own ``timeout`` — so an auto request and the
+  explicit request it resolves to land on the same shard and share its
+  cache entry), and the router's backend;
+* ``anonymize`` with ``algorithm: "incremental"`` routes on the state
+  key instead, placing the solve on the shard that must later serve
+  ``delta`` requests against its snapshot;
 * ``delta`` routes on the request's own ``state_key`` — snapshot
   affinity: the ring owner of that key is the shard that captured it.
   (See ``docs/service.md`` for the locality caveat on long chains: each
@@ -51,33 +53,30 @@ Fleet behaviour:
 
 The router holds no solve state of its own — routing is a pure function
 of (request, ring membership), so a bounced router resumes correct
-routing immediately and routers can be stacked for availability.
+routing immediately and routers can be stacked for availability.  It
+is served over TCP by the same front end as a shard
+(:mod:`repro.service.wire`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
-from repro import registry
-from repro.artifacts import instance_key, state_key
 from repro.core.backend import default_backend_name
-from repro.core.table import Table
 from repro.instrument import Counters
-from repro.service.cache import is_cache_key
 from repro.service.hashring import DEFAULT_VNODES, HashRing
-from repro.service.server import (
-    MAX_LINE_BYTES,
-    PROTOCOL_VERSION,
-    _error,
-)
+from repro.service.server import PROTOCOL_VERSION, admit
+from repro.service.wire import MAX_LINE_BYTES, ServiceServer, _error
 
 #: default router TCP port (one below a shard's default 7683 family)
 DEFAULT_ROUTER_PORT = 7690
+
+#: the background-thread front end serves a router like a shard
+RouterServer = ServiceServer
 
 
 def parse_address(address: "str | tuple[str, int]") -> tuple[str, int]:
@@ -230,6 +229,10 @@ class ShardRouter:
         budgets belong to shard admission control).
     """
 
+    #: front-end identity (see :mod:`repro.service.wire`)
+    name = "router"
+    default_port = DEFAULT_ROUTER_PORT
+
     def __init__(
         self,
         shards: Iterable[str | tuple[str, int]],
@@ -262,6 +265,18 @@ class ShardRouter:
 
     # -- lifecycle -----------------------------------------------------
 
+    def banner(self, host: str, port: int) -> str:
+        """The front end's startup line."""
+        return (
+            f"kanon router listening on {host}:{port} over "
+            f"{len(self.shards)} shard(s) "
+            f"(vnodes={self.ring.vnodes}, backend={self.backend})"
+        )
+
+    def connection_fault(self, request: Any) -> None:
+        """Routers inject no faults (shards answer ``fault`` fields)."""
+        return None
+
     async def start(self) -> None:
         """Start the periodic health sweep (idempotent)."""
         if self._health_task is None and self.health_interval > 0:
@@ -282,51 +297,17 @@ class ShardRouter:
     def routing_key(self, request: dict) -> str | None:
         """The consistent-hash key for *request*, or ``None``.
 
-        ``None`` means the request cannot be keyed (malformed table,
-        unknown algorithm, missing fields) — the caller forwards it to
-        a deterministic shard so the *shard's* admission logic produces
+        The key :func:`~repro.service.server.admit` computes — the one a
+        shard caches the request under.  ``None`` means the request
+        cannot be keyed (malformed table, unknown algorithm, missing
+        fields, a non-solve op) — the caller forwards it to a
+        deterministic shard so the *shard's* admission logic produces
         the protocol error, keeping validation single-sourced.
         """
-        op = request.get("op", "anonymize")
-        if op == "delta":
-            key = request.get("state_key")
-            return key if is_cache_key(key) else None
-        if op != "anonymize":
-            return None
         try:
-            table = Table.from_csv(
-                request["csv"], header=bool(request.get("header", True))
-            )
-            k = request["k"]
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-                return None
-            name = request.get("algorithm", "center_cover")
-            if name == "auto":
-                from repro.planner import plan as plan_instance
-
-                timeout = request.get("timeout")
-                budget = float(timeout) if timeout is not None else None
-                name = plan_instance(table, k, budget=budget).algorithm
-            else:
-                name = registry.get(name).name
-            privacy = request.get("privacy")
-            if privacy is not None:
-                # normalize exactly as shard admission does — routing
-                # is only correct if router and shard key identically
-                # (a malformed block raises: unroutable, the shard's
-                # admission produces the protocol error)
-                from repro.service.server import normalize_privacy
-
-                privacy = normalize_privacy(privacy, table.degree)
-                if name == "incremental":
-                    return None  # shards reject privacy + incremental
+            return admit(request, self.backend).routing_key
         except Exception:  # noqa: BLE001 - unroutable, not invalid
             return None
-        if name == "incremental":
-            # snapshot affinity: the shard that solves this stream is
-            # the one later `delta` requests (keyed by state_key) reach
-            return state_key(table, k, name, self.backend)
-        return instance_key(table, k, name, self.backend, privacy=privacy)
 
     def _preference(self, key: str | None) -> list[str]:
         """Alive shards to try, in order, for routing key *key*."""
@@ -462,14 +443,21 @@ class ShardRouter:
             },
         }
 
-    async def _stats_response(self) -> dict[str, Any]:
-        """Fan ``stats`` out to every alive shard and merge."""
-        line = json.dumps({"op": "stats"}).encode("utf-8") + b"\n"
-        alive = self.alive
-        outcomes = await asyncio.gather(
-            *(self._exchange(addr, line) for addr in alive),
+    async def _fan_out(
+        self, op: str, addresses: list[str], timeout: float | None = None
+    ) -> list[Any]:
+        """Send ``{"op": op}`` to every shard in *addresses* at once;
+        one response dict or exception per address, in order."""
+        line = json.dumps({"op": op}).encode("utf-8") + b"\n"
+        return await asyncio.gather(
+            *(self._exchange(addr, line, timeout) for addr in addresses),
             return_exceptions=True,
         )
+
+    async def _stats_response(self) -> dict[str, Any]:
+        """Fan ``stats`` out to every alive shard and merge."""
+        alive = self.alive
+        outcomes = await self._fan_out("stats", alive)
         per_shard: dict[str, dict] = {}
         reachable: dict[str, dict] = {}
         for addr, outcome in zip(alive, outcomes):
@@ -500,12 +488,8 @@ class ShardRouter:
         never just the ring owner of some key.  The transport stops the
         router itself after this response is written.
         """
-        line = json.dumps({"op": "shutdown"}).encode("utf-8") + b"\n"
         addresses = sorted(self.shards)
-        outcomes = await asyncio.gather(
-            *(self._exchange(addr, line) for addr in addresses),
-            return_exceptions=True,
-        )
+        outcomes = await self._fan_out("shutdown", addresses)
         report: dict[str, str] = {}
         for addr, outcome in zip(addresses, outcomes):
             if isinstance(outcome, BaseException):
@@ -566,18 +550,10 @@ class ShardRouter:
         """Ping every shard once; evict the dead, rejoin the recovered.
 
         Returns ``{address: alive}`` after the sweep (also handy for
-        tests and for a deterministic pre-flight check from
-        :func:`route_async` startup).
+        tests as a deterministic membership check).
         """
-        line = json.dumps({"op": "ping"}).encode("utf-8") + b"\n"
         addresses = sorted(self.shards)
-        outcomes = await asyncio.gather(
-            *(
-                self._exchange(addr, line, timeout=self.ping_timeout)
-                for addr in addresses
-            ),
-            return_exceptions=True,
-        )
+        outcomes = await self._fan_out("ping", addresses, self.ping_timeout)
         now = time.monotonic()
         verdict: dict[str, bool] = {}
         for addr, outcome in zip(addresses, outcomes):
@@ -593,175 +569,3 @@ class ShardRouter:
                 self._evict(addr)
             verdict[addr] = healthy
         return verdict
-
-
-# ----------------------------------------------------------------------
-# The TCP front end (same JSON-lines framing as the shard server)
-# ----------------------------------------------------------------------
-
-
-async def _handle_connection(
-    router: ShardRouter,
-    stop: asyncio.Event,
-    connections: set,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-) -> None:
-    connections.add(writer)
-    try:
-        while True:
-            try:
-                line = await reader.readline()
-            except (ConnectionResetError, ValueError):
-                break  # reset, or a request line beyond MAX_LINE_BYTES
-            if not line:
-                break
-            if not line.strip():
-                continue
-            request: Any = None
-            try:
-                request = json.loads(line)
-            except json.JSONDecodeError as exc:
-                response = _error("bad-request", f"bad JSON: {exc}")
-            else:
-                response = await router.handle(request)
-            writer.write(json.dumps(response).encode("utf-8") + b"\n")
-            await writer.drain()
-            if (
-                isinstance(request, dict)
-                and request.get("op") == "shutdown"
-                and response.get("ok")
-            ):
-                stop.set()
-                break
-    except asyncio.CancelledError:
-        pass  # router teardown closed this connection mid-read
-    finally:
-        connections.discard(writer)
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
-
-async def route_async(
-    router: "ShardRouter | None" = None,
-    host: str = "127.0.0.1",
-    port: int = DEFAULT_ROUTER_PORT,
-    *,
-    shards: Sequence[str] | None = None,
-    ready: "threading.Event | None" = None,
-    bound: list | None = None,
-    log=None,
-    **router_options: Any,
-) -> None:
-    """Run the router's TCP front end until a ``shutdown`` arrives.
-
-    Mirrors :func:`repro.service.server.serve_async`: ``ready`` /
-    ``bound`` report the bound address (``port=0`` for ephemeral), *log*
-    takes one-line startup/shutdown notices.  Construct the
-    :class:`ShardRouter` yourself or pass ``shards=[...]`` plus options.
-    """
-    if router is None:
-        router = ShardRouter(shards or (), **router_options)
-    stop = asyncio.Event()
-    connections: set = set()
-    await router.start()
-    server = await asyncio.start_server(
-        lambda r, w: _handle_connection(router, stop, connections, r, w),
-        host, port, limit=MAX_LINE_BYTES,
-    )
-    address = server.sockets[0].getsockname()[:2]
-    if bound is not None:
-        bound.extend(address)
-    if ready is not None:
-        ready.set()
-    if log is not None:
-        print(
-            f"kanon router listening on {address[0]}:{address[1]} over "
-            f"{len(router.shards)} shard(s) "
-            f"(vnodes={router.ring.vnodes}, backend={router.backend})",
-            file=log, flush=True,
-        )
-    async with server:
-        await stop.wait()
-        for open_writer in list(connections):
-            open_writer.close()
-        await asyncio.sleep(0)
-    await router.stop()
-    if log is not None:
-        print("kanon router stopped", file=log, flush=True)
-
-
-def route(
-    router: "ShardRouter | None" = None,
-    host: str = "127.0.0.1",
-    port: int = DEFAULT_ROUTER_PORT,
-    **options: Any,
-) -> None:
-    """Blocking entry point: route until shut down (``kanon route``)."""
-    asyncio.run(route_async(router, host, port, **options))
-
-
-class RouterServer:
-    """An in-process router on a background thread (tests, notebooks).
-
-    Mirror of :class:`repro.service.server.ServiceServer`; ``stop()``
-    sends ``shutdown`` over the wire, which — by design — also stops
-    every shard behind the router.
-    """
-
-    def __init__(
-        self,
-        router: "ShardRouter | None" = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        **router_options: Any,
-    ):
-        self.router = router or ShardRouter(**router_options)
-        self._host = host
-        self._port = port
-        self._thread: threading.Thread | None = None
-        self.address: tuple[str, int] | None = None
-
-    def start(self, timeout: float = 10.0) -> tuple[str, int]:
-        """Start routing; returns the bound ``(host, port)``."""
-        if self._thread is not None:
-            assert self.address is not None
-            return self.address
-        ready = threading.Event()
-        bound: list = []
-        self._thread = threading.Thread(
-            target=route,
-            args=(self.router, self._host, self._port),
-            kwargs={"ready": ready, "bound": bound},
-            daemon=True,
-        )
-        self._thread.start()
-        if not ready.wait(timeout):
-            raise RuntimeError("router thread failed to start")
-        self.address = (bound[0], bound[1])
-        return self.address
-
-    def stop(self, timeout: float = 10.0) -> None:
-        """Shut the fleet down over the wire and join the thread."""
-        if self._thread is None:
-            return
-        from repro.service.client import ServiceClient
-
-        assert self.address is not None
-        try:
-            ServiceClient(*self.address).shutdown()
-        except OSError:
-            pass  # already gone
-        self._thread.join(timeout)
-        self._thread = None
-        self.address = None
-
-    def __enter__(self) -> "RouterServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -10,9 +10,12 @@ Architecture (stdlib only — JSON lines over TCP):
   in-flight instances, and groups cache misses into **batches** that a
   dispatcher hands to the PR 3 process-parallel trial executor
   (:func:`repro.experiments.run_tasks`).
-* :func:`serve` / :class:`ServiceServer` wrap the core in an asyncio
-  TCP server speaking newline-delimited JSON (one request object per
-  line, one response object per line, many per connection).
+* :func:`admit` is the one request → solver → key path: it validates
+  and keys a request from its own fields, so the shard router
+  (:mod:`repro.service.router`) places every request exactly where
+  this core caches it.
+* The TCP front end (:mod:`repro.service.wire`) serves the core as
+  newline-delimited JSON.
 * :class:`~repro.service.client.ServiceClient` (and the ``kanon
   submit`` CLI verb) is the matching caller.
 
@@ -24,9 +27,11 @@ Request objects
 (default true), ``timeout`` (seconds), ``use_cache`` (default true) and
 ``trace``.  Tables travel as CSV text — the same representation the CLI
 reads and writes, with ``*`` marking suppressed cells.  ``algorithm:
-"auto"`` resolves through :mod:`repro.planner` at admission: the job is
-keyed and cached under the *resolved* algorithm (so auto and explicit
-requests share cache entries) and the response carries the
+"auto"`` resolves through :mod:`repro.planner` at admission, planning
+against the request's own ``timeout`` (or the planner's soft cap) and
+never against a server's ``max_timeout``: the job is keyed and cached
+under the *resolved* algorithm (so auto and explicit requests share
+cache entries) and the response carries the
 :class:`~repro.planner.PlanDecision` under ``plan`` with ``algorithm``
 naming the solver that ran.
 
@@ -98,10 +103,8 @@ and surviving worker crashes — a killed worker fails only its batch
 from __future__ import annotations
 
 import asyncio
-import json
 import multiprocessing
 import os
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -112,7 +115,7 @@ from repro.algorithms.incremental import (
     IncrementalAnonymizer,
     IncrementalState,
 )
-from repro.artifacts import instance_key, state_key, table_hash
+from repro.artifacts import _key_from_hash, table_hash
 from repro.core.anonymity import suppressed_cell_count
 from repro.core.backend import default_backend_name
 from repro.core.table import Table
@@ -120,6 +123,7 @@ from repro.experiments import WorkerPool, run_tasks
 from repro.instrument import BudgetExceededError, TimeBudget, summarize_traces
 from repro.privacy.dp import BudgetExhaustedError, PrivacyAccountant
 from repro.service.cache import SolutionCache, is_cache_key
+from repro.service.wire import _error
 
 #: default TCP port (chosen as an unassigned registered port)
 DEFAULT_PORT = 7683
@@ -160,36 +164,17 @@ class _SolveTask:
     #: fault-injection marker (only ever set when the service was
     #: started with fault injection enabled)
     fault: str | None = None
-    #: export the streaming engine's pre-finalize snapshot (set for
-    #: ``incremental`` solves so the ``delta`` verb can continue them)
-    capture_state: bool = False
     #: normalized privacy block as a sorted ``(field, value)`` tuple —
     #: tuple, not dict, so the frozen task stays hashable and picklable
     privacy: tuple | None = None
     #: deterministic DP noise seed, derived from the instance key so a
     #: re-solve of the same keyed instance re-releases the same noise
     dp_seed: int | None = None
-
-
-@dataclass(frozen=True)
-class _DeltaTask:
-    """Continue a previously-solved incremental stream by a row delta.
-
-    ``state`` is the stored :meth:`IncrementalState.as_dict` payload
-    (plain JSON data, so the task stays picklable across the pool
-    boundary).  ``timeout`` is carried for budget bookkeeping only —
-    delta solves run to completion, the budget governs queueing and
-    coalescing, not the engine (which is not an anytime algorithm).
-    """
-
-    state: dict
-    csv: str
-    header: bool
-    k: int
-    backend: str
-    timeout: float | None
-    trace: bool
-    fault: str | None = None
+    #: a ``delta`` task: the stored :meth:`IncrementalState.as_dict`
+    #: snapshot that ``csv`` extends (plain JSON data, so the task stays
+    #: picklable).  Delta solves run to completion — ``timeout`` governs
+    #: queueing and coalescing, not the engine (not an anytime solver).
+    state: dict | None = None
 
 
 def _kill_worker() -> None:
@@ -201,14 +186,14 @@ def _kill_worker() -> None:
     raise RuntimeError("fault injection: kill-worker")
 
 
-def _solve_task(task: "_SolveTask | _DeltaTask") -> dict[str, Any]:
+def _solve_task(task: _SolveTask) -> dict[str, Any]:
     """Solve one batched task; always returns a JSON-ready dict.
 
     Errors come back as ``{"error": ..., "code": ...}`` records instead
     of raising — one poisoned request inside a batch must not cancel its
     batchmates (the executor cancels the pool on a raised exception).
     """
-    if isinstance(task, _DeltaTask):
+    if task.state is not None:
         return _solve_delta(task)
     return _solve_instance(task)
 
@@ -279,7 +264,8 @@ def _solve_instance(task: _SolveTask) -> dict[str, Any]:
             _kill_worker()
         table = Table.from_csv(task.csv, header=task.header)
         algorithm = registry.create(task.algorithm)
-        if task.capture_state:
+        if task.algorithm == "incremental":
+            # export the pre-finalize snapshot the ``delta`` verb continues
             algorithm.capture_state = True
         if task.privacy is not None:
             result, dp = _solve_with_privacy(table, algorithm, task)
@@ -319,7 +305,7 @@ def _solve_instance(task: _SolveTask) -> dict[str, Any]:
     return outcome
 
 
-def _solve_delta(task: _DeltaTask) -> dict[str, Any]:
+def _solve_delta(task: _SolveTask) -> dict[str, Any]:
     """Continue a stored stream: restore, insert the delta, finalize.
 
     The engine is deterministic, so restoring the pre-finalize snapshot
@@ -332,6 +318,7 @@ def _solve_delta(task: _DeltaTask) -> dict[str, Any]:
     try:
         if task.fault == "kill-worker":
             _kill_worker()
+        assert task.state is not None
         state = IncrementalState.from_dict(task.state)
         engine = IncrementalAnonymizer.from_state(state)
         delta_table = Table.from_csv(task.csv, header=task.header)
@@ -383,10 +370,8 @@ def normalize_privacy(privacy: Any, degree: int) -> dict[str, Any]:
     """Validate and canonicalize a request's ``privacy`` block.
 
     Returns a canonical dict (``sensitive`` resolved to a non-negative
-    column index, ``t``/``epsilon`` as floats) whose form is identical
-    on the server and the shard router — both feed it into
-    :func:`~repro.artifacts.instance_key`, and routing is only correct
-    if they key identically.  Raises :class:`ServiceError` (code
+    column index, ``t``/``epsilon`` as floats) that :func:`admit` feeds
+    into the instance key.  Raises :class:`ServiceError` (code
     ``bad-request``) on malformed blocks.
     """
     if not isinstance(privacy, dict):
@@ -467,12 +452,145 @@ def normalize_privacy(privacy: Any, degree: int) -> dict[str, Any]:
     return normalized
 
 
+@dataclass(frozen=True)
+class Admission:
+    """One ``anonymize``/``delta`` request, validated and keyed by
+    :func:`admit` from the request's own fields."""
+
+    op: str
+    #: where the router places the request: the instance key, the state
+    #: key of an ``incremental`` solve, or a delta's own ``state_key``
+    routing_key: str
+    csv: str
+    header: bool
+    #: the parsed table (a delta's appended rows only)
+    table: Table
+    #: ``None`` on a delta that leaves ``k`` to its stored stream
+    k: int | None
+    #: canonical solver name, aliases and ``auto`` resolved
+    algorithm: str
+    #: the request's own validated ``timeout`` (no server cap applied)
+    timeout: float | None
+    trace: bool
+    privacy: dict[str, Any] | None = None
+    #: planner decision of an ``auto`` request
+    plan: dict | None = None
+    #: solution / continuation-state cache keys (``anonymize`` only: a
+    #: delta's keys depend on the stored rows it extends)
+    key: str | None = None
+    state_key: str | None = None
+    #: table hash an ε charge books against (ε requests only)
+    dataset: str | None = None
+
+
+def admit(request: Any, backend: str) -> Admission:
+    """Validate, resolve and key one ``anonymize`` or ``delta`` request.
+
+    The one request → solver → key path of the fleet: the shard router
+    places a request by ``routing_key`` and the shard caches it under
+    ``key`` / ``state_key``, both computed here from the request and the
+    distance *backend* alone.  ``auto`` plans against the request's own
+    ``timeout`` (or the planner's soft cap), never a server's cap, so
+    router and shard resolve the same solver.  The table is parsed once
+    and hashed once; every key derives from that one hash.
+
+    Raises :class:`ServiceError` on an invalid request.
+    """
+    if not isinstance(request, dict):
+        raise ServiceError("bad-request", "request must be a JSON object")
+    op = request.get("op", "anonymize")
+    if op not in ("anonymize", "delta"):
+        raise ServiceError("bad-request", f"unknown op {op!r}")
+    delta = op == "delta"
+    if delta and not is_cache_key(request.get("state_key")):
+        raise ServiceError(
+            "bad-request",
+            "delta needs a 'state_key' hex-digest string (the one a "
+            "previous incremental solve returned)",
+        )
+    csv = request.get("csv")
+    if not isinstance(csv, str) or not csv.strip():
+        raise ServiceError(
+            "bad-request", f"{op} needs a non-empty 'csv' string"
+        )
+    k = request.get("k")
+    if (not delta or "k" in request) and (
+        not isinstance(k, int) or isinstance(k, bool) or k < 1
+    ):
+        raise ServiceError("bad-request", "'k' must be a positive integer")
+    timeout = request.get("timeout")
+    if timeout is not None:
+        try:
+            timeout = float(timeout)
+        except (TypeError, ValueError):
+            raise ServiceError(
+                "bad-request", "'timeout' must be a number of seconds"
+            ) from None
+        if timeout < 0:
+            raise ServiceError("bad-request", "'timeout' cannot be negative")
+    header = bool(request.get("header", True))
+    try:
+        table = Table.from_csv(csv, header=header)
+    except ValueError as exc:
+        raise ServiceError("bad-request", f"bad csv: {exc}") from None
+    trace = bool(request.get("trace", False))
+    if delta:
+        if table.n_rows == 0:
+            raise ServiceError(
+                "bad-request", "delta carries no rows (header-only csv)"
+            )
+        return Admission(
+            op=op, routing_key=request["state_key"], csv=csv,
+            header=header, table=table, k=k, algorithm="incremental",
+            timeout=timeout, trace=trace,
+        )
+    name = request.get("algorithm", "center_cover")
+    plan = None
+    if name == "auto":
+        # keyed (and cached) under the *resolved* algorithm, so an
+        # explicit request for the same solver shares the entry
+        from repro.planner import plan as plan_instance
+
+        decision = plan_instance(table, k, budget=timeout)
+        algorithm, plan = decision.algorithm, decision.to_dict()
+    else:
+        try:
+            algorithm = registry.get(name).name
+        except (KeyError, TypeError):
+            raise ServiceError(
+                "unknown-algorithm",
+                f"unknown algorithm {name!r}; see `kanon algorithms`",
+            ) from None
+    privacy = None
+    if request.get("privacy") is not None:
+        privacy = normalize_privacy(request["privacy"], table.degree)
+        if algorithm == "incremental":
+            raise ServiceError(
+                "bad-request",
+                "the 'privacy' block is not supported with the "
+                "incremental streaming algorithm",
+            )
+    digest = table_hash(table)
+    key = _key_from_hash(digest, k, algorithm, backend, privacy)
+    state = None
+    if algorithm == "incremental":
+        # snapshot affinity: the solve lands on the shard that later
+        # ``delta`` requests (routed by this state key) reach
+        state = _key_from_hash(digest, k, algorithm, backend, state=True)
+    return Admission(
+        op=op, routing_key=state or key, csv=csv, header=header,
+        table=table, k=k, algorithm=algorithm, timeout=timeout,
+        trace=trace, privacy=privacy, plan=plan, key=key, state_key=state,
+        dataset=digest if privacy and "epsilon" in privacy else None,
+    )
+
+
 @dataclass
 class _Job:
     """One admitted anonymize/delta request waiting for its batch."""
 
     key: str
-    task: "_SolveTask | _DeltaTask"
+    task: _SolveTask
     budget: TimeBudget
     future: asyncio.Future = field(repr=False)
     op: str = "anonymize"
@@ -519,6 +637,10 @@ class AnonymizationService:
         :class:`~repro.privacy.dp.PrivacyAccountant`; ``None`` tracks
         spends without enforcing a limit.
     """
+
+    #: front-end identity (see :mod:`repro.service.wire`)
+    name = "service"
+    default_port = DEFAULT_PORT
 
     def __init__(
         self,
@@ -606,6 +728,14 @@ class AnonymizationService:
             # restarted service (start() is idempotent) respawns lazily
             await asyncio.to_thread(self._pool.close)
 
+    def banner(self, host: str, port: int) -> str:
+        """The front end's startup line."""
+        return (
+            f"kanon service listening on {host}:{port} "
+            f"(backend={self.backend}, jobs={self.jobs}, "
+            f"cache={self.cache.max_entries} entries)"
+        )
+
     # -- request handling ----------------------------------------------
 
     async def handle(self, request: Any) -> dict[str, Any]:
@@ -631,10 +761,8 @@ class AnonymizationService:
 
     async def _handle_op(self, op: str, request: dict) -> dict[str, Any]:
         self._check_fault(request)
-        if op == "anonymize":
-            return await self._handle_anonymize(request)
-        if op == "delta":
-            return await self._handle_delta(request)
+        if op in ("anonymize", "delta"):
+            return await self._run_job(self._admit(request), request)
         if op == "stats":
             return {"ok": True, "op": "stats", **self.stats()}
         if op == "ping":
@@ -699,12 +827,6 @@ class AnonymizationService:
         if kind in ("delay", "drop-connection"):
             return (kind, seconds)
         return None
-
-    async def _handle_anonymize(self, request: dict) -> dict[str, Any]:
-        return await self._run_job(self._admit(request), request)
-
-    async def _handle_delta(self, request: dict) -> dict[str, Any]:
-        return await self._run_job(self._admit_delta(request), request)
 
     async def _run_job(self, job: _Job, request: dict) -> dict[str, Any]:
         """Cache-check, coalesce, or queue one admitted job.
@@ -774,117 +896,74 @@ class AnonymizationService:
         )
 
     def _admit(self, request: dict) -> _Job:
-        """Validate one anonymize request; raises :class:`ServiceError`.
+        """Admit one anonymize/delta request; raises :class:`ServiceError`.
 
-        The budget is armed *here*: queueing delay counts against the
-        request, and the dispatcher drops jobs whose budget expired
-        before they reached a worker.
+        :func:`admit` validates and keys the request; this adds what
+        only this server knows: its timeout default and cap, fault
+        markers, and the stored snapshot a delta continues.  The budget
+        is armed *here*: queueing delay counts against the request, and
+        the dispatcher drops jobs whose budget expired before they
+        reached a worker.
         """
-        csv = request.get("csv")
-        if not isinstance(csv, str) or not csv.strip():
-            raise ServiceError(
-                "bad-request", "anonymize needs a non-empty 'csv' string"
-            )
-        k = request.get("k")
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ServiceError(
-                "bad-request", "'k' must be a positive integer"
-            )
-        timeout = self._admitted_timeout(request)
-        header = bool(request.get("header", True))
-        try:
-            table = Table.from_csv(csv, header=header)
-        except ValueError as exc:
-            raise ServiceError("bad-request", f"bad csv: {exc}") from None
-        name = request.get("algorithm", "center_cover")
-        plan_dict = None
-        if name == "auto":
-            # resolve through the planner at admission: the job is
-            # keyed (and cached) under the *resolved* algorithm, so an
-            # explicit request for the same solver shares the entry
-            from repro.planner import plan as plan_instance
-
-            decision = plan_instance(table, k, budget=timeout)
-            algorithm = decision.algorithm
-            plan_dict = decision.to_dict()
-            self.planned += 1
-        else:
-            try:
-                algorithm = registry.get(name).name
-            except KeyError:
-                raise ServiceError(
-                    "unknown-algorithm",
-                    f"unknown algorithm {name!r}; see `kanon algorithms`",
-                ) from None
-        capture_state = algorithm == "incremental"
-        privacy = None
-        if request.get("privacy") is not None:
-            privacy = normalize_privacy(request["privacy"], table.degree)
-            if capture_state:
-                raise ServiceError(
-                    "bad-request",
-                    "the 'privacy' block is not supported with the "
-                    "incremental streaming algorithm",
-                )
-        key = instance_key(
-            table, k, algorithm, self.backend, privacy=privacy
+        admission = admit(request, self.backend)
+        timeout = (
+            admission.timeout if "timeout" in request
+            else self.default_timeout
         )
+        if timeout is None:
+            timeout = self.max_timeout
+        elif self.max_timeout is not None and timeout > self.max_timeout:
+            raise ServiceError(
+                "bad-request",
+                f"timeout {timeout:g}s exceeds the server cap of "
+                f"{self.max_timeout:g}s",
+            )
+        k, key, state_key = admission.k, admission.key, admission.state_key
+        state = None
+        if admission.op == "delta":
+            state, k, key, state_key = self._continuation(admission)
+        if admission.plan is not None:
+            self.planned += 1
+        privacy = admission.privacy
+        epsilon = privacy.get("epsilon") if privacy is not None else None
+        assert k is not None and key is not None
         task = _SolveTask(
-            csv=csv, header=header, k=k, algorithm=algorithm,
-            backend=self.backend, timeout=timeout,
-            trace=bool(request.get("trace", False)),
+            csv=admission.csv, header=admission.header, k=k,
+            algorithm=admission.algorithm, backend=self.backend,
+            timeout=timeout, trace=admission.trace,
             fault=self._admitted_fault(request),
-            capture_state=capture_state,
             privacy=(
                 tuple(sorted(privacy.items()))
                 if privacy is not None else None
             ),
             # seed the DP noise by the instance key: deterministic per
             # keyed instance, different across k/algorithm/privacy
-            dp_seed=(
-                int(key[:16], 16)
-                if privacy is not None and "epsilon" in privacy else None
-            ),
+            dp_seed=int(key[:16], 16) if epsilon is not None else None,
+            state=state,
         )
         return _Job(
             key=key,
             task=task,
             budget=TimeBudget(timeout).start(),
             future=asyncio.get_running_loop().create_future(),
-            state_key=(
-                state_key(table, k, algorithm, self.backend)
-                if capture_state else None
-            ),
-            plan=plan_dict,
-            epsilon=(
-                privacy.get("epsilon") if privacy is not None else None
-            ),
-            dataset=(
-                table_hash(table)
-                if privacy is not None and "epsilon" in privacy else None
-            ),
+            op=admission.op,
+            state_key=state_key,
+            plan=admission.plan,
+            epsilon=epsilon,
+            dataset=admission.dataset,
         )
 
-    def _admit_delta(self, request: dict) -> _Job:
-        """Validate one delta request against its stored stream state.
+    def _continuation(
+        self, admission: Admission
+    ) -> tuple[dict, int, str, str]:
+        """The stored snapshot a delta continues, the stream's ``k``,
+        and the **grown** table's instance and state keys.
 
-        The job is keyed by the **grown** table's instance key (stored
-        prefix rows + delta rows) and carries the grown table's
-        ``state_key`` — the same keys a cold ``anonymize`` of the full
-        table would use, so chains compose and repeated deltas hit.
+        Stored prefix rows plus delta rows key exactly like a cold
+        ``anonymize`` of the full table, so chains compose and repeated
+        deltas hit.
         """
-        key = request.get("state_key")
-        if not is_cache_key(key):
-            raise ServiceError(
-                "bad-request",
-                "delta needs a 'state_key' hex-digest string (the one a "
-                "previous incremental solve returned)",
-            )
-        csv = request.get("csv")
-        if not isinstance(csv, str) or not csv.strip():
-            raise ServiceError(
-                "bad-request", "delta needs a non-empty 'csv' string"
-            )
+        key = admission.routing_key
         entry = self.cache.get(key)
         if entry is None:
             raise ServiceError(
@@ -907,84 +986,40 @@ class AnonymizationService:
                 f"state under {key!r} was computed under backend "
                 f"{stored_backend!r}; this server runs {self.backend!r}",
             )
-        k = request.get("k", state.k)
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ServiceError(
-                "bad-request", "'k' must be a positive integer"
-            )
+        k = state.k if admission.k is None else admission.k
         if k != state.k:
             raise ServiceError(
                 "bad-request",
                 f"delta k={k} does not match the stored stream's "
                 f"k={state.k} — changing k means re-solving from scratch",
             )
-        timeout = self._admitted_timeout(request)
-        header = bool(request.get("header", True))
-        try:
-            delta_table = Table.from_csv(csv, header=header)
-        except ValueError as exc:
-            raise ServiceError("bad-request", f"bad csv: {exc}") from None
-        if delta_table.n_rows == 0:
-            raise ServiceError(
-                "bad-request", "delta carries no rows (header-only csv)"
-            )
-        if delta_table.degree != state.degree:
+        rows = admission.table
+        if rows.degree != state.degree:
             raise ServiceError(
                 "bad-request",
-                f"delta rows have degree {delta_table.degree}; the "
+                f"delta rows have degree {rows.degree}; the "
                 f"stream expects {state.degree}",
             )
         if (
-            header
+            admission.header
             and state.attributes is not None
-            and delta_table.attributes != state.attributes
+            and rows.attributes != state.attributes
         ):
             raise ServiceError(
                 "bad-request",
-                f"delta attributes {delta_table.attributes!r} do not "
+                f"delta attributes {rows.attributes!r} do not "
                 f"match the stream's {state.attributes!r}",
             )
-        full = Table(
-            state.rows + delta_table.rows, attributes=state.attributes
+        digest = table_hash(
+            Table(state.rows + rows.rows, attributes=state.attributes)
         )
-        task = _DeltaTask(
-            state=entry["state"], csv=csv, header=header, k=k,
-            backend=self.backend, timeout=timeout,
-            trace=bool(request.get("trace", False)),
-            fault=self._admitted_fault(request),
+        return (
+            entry["state"], k,
+            _key_from_hash(digest, k, "incremental", self.backend),
+            _key_from_hash(
+                digest, k, "incremental", self.backend, state=True
+            ),
         )
-        return _Job(
-            key=instance_key(full, k, "incremental", self.backend),
-            task=task,
-            budget=TimeBudget(timeout).start(),
-            future=asyncio.get_running_loop().create_future(),
-            op="delta",
-            state_key=state_key(full, k, "incremental", self.backend),
-        )
-
-    def _admitted_timeout(self, request: dict) -> float | None:
-        """The request's validated budget, under the server cap."""
-        timeout = request.get("timeout", self.default_timeout)
-        if timeout is not None:
-            try:
-                timeout = float(timeout)
-            except (TypeError, ValueError):
-                raise ServiceError(
-                    "bad-request", "'timeout' must be a number of seconds"
-                ) from None
-            if timeout < 0:
-                raise ServiceError(
-                    "bad-request", "'timeout' cannot be negative"
-                )
-            if self.max_timeout is not None and timeout > self.max_timeout:
-                raise ServiceError(
-                    "bad-request",
-                    f"timeout {timeout:g}s exceeds the server cap of "
-                    f"{self.max_timeout:g}s",
-                )
-        elif self.max_timeout is not None:
-            timeout = self.max_timeout
-        return timeout
 
     def _admitted_fault(self, request: dict) -> str | None:
         """The worker-level fault marker, when injection is enabled."""
@@ -1113,7 +1148,7 @@ class AnonymizationService:
     @staticmethod
     def _merge_jobs(
         ready: list[_Job],
-    ) -> tuple[list[str], list["_SolveTask | _DeltaTask"]]:
+    ) -> tuple[list[str], list[_SolveTask]]:
         """Deduplicate a batch by instance key, one task per key.
 
         Key-sharers solve once, under the **loosest** budget in the
@@ -1122,9 +1157,9 @@ class AnonymizationService:
         would let a stranger's tight deadline fail, or
         deadline-degrade, everyone else's identical request.)  Tracing
         and fault markers are likewise merged with "any sharer asked"
-        semantics.  The merge is shape-preserving (``dataclasses.
-        replace``), so anonymize and delta tasks both pass through —
-        and since a delta job is keyed by its *grown* table, a delta
+        semantics.  The merge keeps each task's other fields
+        (``dataclasses.replace``), so anonymize and delta tasks both
+        pass through — and since a delta job is keyed by its *grown* table, a delta
         can share a key with a cold solve of the same full table, in
         which case the first arrival's task shape wins (both produce
         the same release, by replay equivalence).
@@ -1133,7 +1168,7 @@ class AnonymizationService:
         for job in ready:
             groups.setdefault(job.key, []).append(job)
         keys = list(groups)
-        tasks: list[_SolveTask | _DeltaTask] = []
+        tasks: list[_SolveTask] = []
         for key in keys:
             sharers = groups[key]
             base = sharers[0].task
@@ -1184,10 +1219,6 @@ class AnonymizationService:
         }
 
 
-def _error(code: str, message: str) -> dict[str, Any]:
-    return {"ok": False, "code": code, "error": message}
-
-
 def _solution(
     outcome: dict[str, Any], cache: str, op: str = "anonymize"
 ) -> dict[str, Any]:
@@ -1209,188 +1240,3 @@ def _solution(
         if extra in outcome:
             response[extra] = outcome[extra]
     return response
-
-
-# ----------------------------------------------------------------------
-# The TCP front end (newline-delimited JSON)
-# ----------------------------------------------------------------------
-
-#: refuse request lines beyond this size (64 MiB) instead of buffering
-#: unbounded input from one connection
-MAX_LINE_BYTES = 64 * 1024 * 1024
-
-
-async def _handle_connection(
-    service: AnonymizationService,
-    stop: asyncio.Event,
-    connections: set,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-) -> None:
-    connections.add(writer)
-    try:
-        while True:
-            try:
-                line = await reader.readline()
-            except (ConnectionResetError, ValueError):
-                break  # reset, or a request line beyond MAX_LINE_BYTES
-            if not line:
-                break
-            if not line.strip():
-                continue
-            request: Any = None
-            try:
-                request = json.loads(line)
-            except json.JSONDecodeError as exc:
-                response = _error("bad-request", f"bad JSON: {exc}")
-            else:
-                response = await service.handle(request)
-            fault = service.connection_fault(request)
-            if fault is not None:
-                kind, seconds = fault
-                if kind == "drop-connection":
-                    break  # hang up without answering (chaos testing)
-                if kind == "delay" and seconds:
-                    await asyncio.sleep(seconds)
-            writer.write(json.dumps(response).encode("utf-8") + b"\n")
-            await writer.drain()
-            if (
-                isinstance(request, dict)
-                and request.get("op") == "shutdown"
-                and response.get("ok")
-            ):
-                stop.set()
-                break
-    except asyncio.CancelledError:
-        pass  # server teardown closed this connection mid-read
-    finally:
-        connections.discard(writer)
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
-
-async def serve_async(
-    service: AnonymizationService | None = None,
-    host: str = "127.0.0.1",
-    port: int = DEFAULT_PORT,
-    *,
-    ready: "threading.Event | None" = None,
-    bound: list | None = None,
-    log=None,
-    **service_options: Any,
-) -> None:
-    """Run the TCP server until a ``shutdown`` request arrives.
-
-    ``ready`` / ``bound`` let an embedding thread learn the bound
-    address (pass ``port=0`` for an ephemeral port); *log* is a text
-    stream for one-line startup/shutdown notices.
-    """
-    service = service or AnonymizationService(**service_options)
-    stop = asyncio.Event()
-    connections: set = set()
-    await service.start()
-    server = await asyncio.start_server(
-        lambda r, w: _handle_connection(service, stop, connections, r, w),
-        host, port, limit=MAX_LINE_BYTES,
-    )
-    address = server.sockets[0].getsockname()[:2]
-    if bound is not None:
-        bound.extend(address)
-    if ready is not None:
-        ready.set()
-    if log is not None:
-        print(
-            f"kanon service listening on {address[0]}:{address[1]} "
-            f"(backend={service.backend}, jobs={service.jobs}, "
-            f"cache={service.cache.max_entries} entries)",
-            file=log, flush=True,
-        )
-    async with server:
-        await stop.wait()
-        # drop lingering idle connections so their reader tasks end
-        # cleanly before the loop is torn down
-        for open_writer in list(connections):
-            open_writer.close()
-        await asyncio.sleep(0)
-    await service.stop()
-    if log is not None:
-        print("kanon service stopped", file=log, flush=True)
-
-
-def serve(
-    service: AnonymizationService | None = None,
-    host: str = "127.0.0.1",
-    port: int = DEFAULT_PORT,
-    **options: Any,
-) -> None:
-    """Blocking entry point: serve until shut down (``kanon serve``)."""
-    asyncio.run(serve_async(service, host, port, **options))
-
-
-class ServiceServer:
-    """An in-process server on a background thread (tests, notebooks).
-
-    >>> from repro.service import ServiceClient, ServiceServer
-    >>> server = ServiceServer()
-    >>> host, port = server.start()
-    >>> client = ServiceClient(host, port)
-    >>> client.ping()["ok"]
-    True
-    >>> server.stop()
-    """
-
-    def __init__(
-        self,
-        service: AnonymizationService | None = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
-        self.service = service or AnonymizationService()
-        self._host = host
-        self._port = port
-        self._thread: threading.Thread | None = None
-        self.address: tuple[str, int] | None = None
-
-    def start(self, timeout: float = 10.0) -> tuple[str, int]:
-        """Start serving; returns the bound ``(host, port)``."""
-        if self._thread is not None:
-            assert self.address is not None
-            return self.address
-        ready = threading.Event()
-        bound: list = []
-        self._thread = threading.Thread(
-            target=serve,
-            args=(self.service, self._host, self._port),
-            kwargs={"ready": ready, "bound": bound},
-            daemon=True,
-        )
-        self._thread.start()
-        if not ready.wait(timeout):
-            raise RuntimeError("service thread failed to start")
-        self.address = (bound[0], bound[1])
-        return self.address
-
-    def stop(self, timeout: float = 10.0) -> None:
-        """Request shutdown over the wire and join the thread."""
-        if self._thread is None:
-            return
-        from repro.service.client import ServiceClient
-
-        assert self.address is not None
-        try:
-            ServiceClient(*self.address).shutdown()
-        except OSError:
-            pass  # already gone
-        self._thread.join(timeout)
-        self._thread = None
-        self.address = None
-
-    def __enter__(self) -> "ServiceServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -14,6 +14,7 @@ shapes) and requires exact agreement, including Python types (plain
 from __future__ import annotations
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.core.backend import (
 )
 from repro.core.distance import pairwise_distance_matrix
 from repro.core.table import Table
+from repro.workloads import census_table, quasi_identifiers
 
 pytestmark = pytest.mark.skipif(
     "numpy" not in available_backends(),
@@ -272,6 +274,27 @@ def test_encoded_cache_evicts_dead_tables():
     del table
     gc.collect()
     assert key not in _ENCODED_CACHE
+
+
+def test_solved_table_is_freed_with_its_caches():
+    """A solve must not keep its table alive: the table's backends and
+    encoding go when the caller drops it; a live table reuses them."""
+    from repro import registry
+    from repro.core.backend import _ENCODED_CACHE
+
+    gc.collect()
+    encoded_before = len(_ENCODED_CACHE)
+    table = quasi_identifiers(census_table(60, seed=3))
+    registry.create("center_cover").anonymize(table, 3, backend="numpy")
+    backend = get_backend(table, "numpy")
+    assert get_backend(table, "numpy") is backend
+    assert encode_table(table) is backend.encoded
+    assert len(_ENCODED_CACHE) > encoded_before
+    alive = weakref.ref(table)
+    del table, backend
+    gc.collect()
+    assert alive() is None
+    assert len(_ENCODED_CACHE) == encoded_before
 
 
 # -- bit-packed lanes ---------------------------------------------------

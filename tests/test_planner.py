@@ -95,6 +95,15 @@ class TestPlanDecisions:
         assert decision.algorithm == FALLBACK_ALGORITHM
         assert "falling back" in decision.reason
 
+    def test_large_table_plans_without_overflow(self):
+        """``2.0 ** n`` cost models overflow a float at n >= ~1030; the
+        estimate is then infinite (unaffordable), not an exception."""
+        rows = np.random.default_rng(0).integers(0, 5, size=(1100, 12))
+        decision = plan(Table(rows.tolist()), 3)
+        assert decision.algorithm == "center_cover"
+        exact = registry.get("branch_bound").estimated_seconds(1100, 12, 5, 3)
+        assert exact == float("inf")
+
     def test_candidates_cover_the_whole_registry(self):
         decision = plan(Table([(0, 0), (0, 1), (1, 0), (1, 1)]), 2)
         assert {c.name for c in decision.candidates} == set(registry.names())
@@ -168,8 +177,7 @@ class TestExperimentsAuto:
 
 @pytest.fixture(scope="class")
 def server():
-    from repro.service import AnonymizationService
-    from repro.service.server import ServiceServer
+    from repro.service import AnonymizationService, ServiceServer
 
     with ServiceServer(
         AnonymizationService(max_entries=64, batch_window=0.002)

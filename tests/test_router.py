@@ -11,18 +11,22 @@ from __future__ import annotations
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.artifacts import instance_key, state_key
 from repro.cli import main
 from repro.core.table import Table
 from repro.io import write_csv
+from repro.planner import plan
 from repro.service import (
+    AnonymizationService,
     RouterServer,
     ServiceClient,
     ServiceError,
     ServiceServer,
     ShardRouter,
+    SolutionCache,
     merge_shard_stats,
 )
 from repro.service.router import format_address, parse_address
@@ -34,6 +38,14 @@ def tables(count: int, rows: int = 20) -> list[Table]:
         quasi_identifiers(census_table(rows, seed=seed))
         for seed in range(count)
     ]
+
+
+def boundary_csv(seed: int) -> str:
+    """A 14-row binary table at k=2: without a budget the planner picks
+    an exact solver, under a 0.05 s cap it falls back to center_cover."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 2, size=(14, 6)).tolist()
+    return Table(rows).to_csv()
 
 
 @pytest.fixture
@@ -118,6 +130,61 @@ class TestRoutingKey:
     ])
     def test_unkeyable_requests_return_none(self, request_):
         assert self.router.routing_key(request_) is None
+
+
+def _shard_key(service: AnonymizationService, request: dict) -> str:
+    """The key shard admission places *request* under."""
+
+    async def admitted():
+        return service._admit(request)
+
+    job = asyncio.run(admitted())
+    if request.get("op") == "delta":
+        return request["state_key"]  # the snapshot it was found under
+    return job.state_key if job.task.algorithm == "incremental" else job.key
+
+
+class TestRoutingKeyParity:
+    """Router and shard admission key every request identically —
+    also on a shard whose ``max_timeout`` would change an ``auto``
+    resolution if it were planned against the cap."""
+
+    @pytest.mark.parametrize("max_timeout", [None, 0.05])
+    def test_router_key_is_the_shard_key(self, max_timeout):
+        csv = boundary_csv(0)
+        table = Table.from_csv(csv)
+        assert plan(table, 2).algorithm != plan(table, 2, budget=0.05).algorithm
+        privacy_csv = quasi_identifiers(census_table(16, seed=1)).to_csv()
+        cache = SolutionCache()
+        service = AnonymizationService(cache=cache, max_timeout=max_timeout)
+        router = ShardRouter(["a:1", "b:2"], backend=service.backend,
+                             health_interval=0.0)
+        # a stored snapshot for the delta request to continue
+        solved = asyncio.run(AnonymizationService(cache=cache).handle({
+            "op": "anonymize", "csv": csv, "k": 2,
+            "algorithm": "incremental",
+        }))
+        requests = [
+            {"op": "anonymize", "csv": csv, "k": 2},
+            {"op": "anonymize", "csv": csv, "k": 2, "algorithm": "center"},
+            {"op": "anonymize", "csv": csv, "k": 2,
+             "algorithm": "branch_bound"},
+            {"op": "anonymize", "csv": csv, "k": 2, "algorithm": "auto"},
+            {"op": "anonymize", "csv": csv, "k": 2, "algorithm": "auto",
+             "timeout": 0.04},
+            {"op": "anonymize", "csv": csv, "k": 2,
+             "algorithm": "incremental"},
+            {"op": "anonymize", "csv": privacy_csv, "k": 2,
+             "privacy": {"l": 2}},
+            {"op": "anonymize", "csv": privacy_csv, "k": 2,
+             "privacy": {"epsilon": 1.0}},
+            {"op": "delta", "state_key": solved["state_key"],
+             "csv": "a0,a1,a2,a3,a4,a5\n1,1,0,0,1,0\n"},
+        ]
+        for request in requests:
+            key = router.routing_key(request)
+            assert key is not None, request
+            assert key == _shard_key(service, request), request
 
 
 class TestAddresses:
@@ -287,6 +354,46 @@ class TestFleet:
         finally:
             front.stop()
             shard.stop()
+
+    def test_capped_shard_never_solves_auto_twice(self):
+        """An ``auto`` request and its resolved explicit twin are one
+        instance: a fleet whose owning shard has ``max_timeout=0.05``
+        must solve it once, under the key the router routed on."""
+        capped = AnonymizationService(max_timeout=0.05)
+        shards = [ServiceServer(capped), ServiceServer(), ServiceServer()]
+        addresses = [format_address(shard.start()) for shard in shards]
+        router = ShardRouter(addresses, health_interval=0.0)
+        front = RouterServer(router)
+        front.start()
+        try:
+            # an instance on the tier boundary owned by the capped shard
+            csv = next(
+                csv for csv in map(boundary_csv, range(100))
+                if router.ring.owners(router.routing_key(
+                    {"op": "anonymize", "csv": csv, "k": 2,
+                     "algorithm": "auto"}
+                ))[0] == addresses[0]
+            )
+            resolved = plan(Table.from_csv(csv), 2).algorithm
+            assert resolved != plan(Table.from_csv(csv), 2, budget=0.05).algorithm
+            sent = [
+                {"op": "anonymize", "csv": csv, "k": 2, "algorithm": "auto"},
+                {"op": "anonymize", "csv": csv, "k": 2,
+                 "algorithm": resolved},
+            ]
+            with ServiceClient(*front.address) as client:
+                auto = client.request(sent[0])
+                twin = client.request(sent[1])
+                stats = client.stats()
+        finally:
+            front.stop()
+            for shard in shards:
+                shard.stop()
+        assert auto["ok"] and twin["ok"]
+        distinct = {router.routing_key(request) for request in sent}
+        assert stats["solved_instances"] == len(distinct) == 1
+        assert auto["algorithm"] == twin["algorithm"] == resolved
+        assert auto["shard"] == twin["shard"] == addresses[0]
 
     def test_shutdown_fans_out_to_every_shard(self, fleet):
         """Regression (PR 9 satellite): ``shutdown`` through the router

@@ -203,6 +203,16 @@ class TestAdmissionControl:
         assert not bad["ok"] and bad["code"] == "bad-request"
         assert not unknown["ok"] and unknown["code"] == "bad-request"
 
+    def test_auto_on_a_large_table_is_served(self):
+        """n=1100 used to overflow the exact solvers' cost models inside
+        the planner and escape ``handle``."""
+        rows = quasi_identifiers(census_table(1100, seed=2))
+        request = {"op": "anonymize", "csv": rows.to_csv(), "k": 5,
+                   "algorithm": "auto"}
+        (response,) = run(_served(AnonymizationService(), request))
+        assert response["ok"]
+        assert response["algorithm"] == "center_cover"
+
     def test_timeout_above_server_cap_is_rejected(self):
         service = AnonymizationService(max_timeout=1.0)
         request = {"op": "anonymize", "csv": small_table().to_csv(),
@@ -309,6 +319,24 @@ class TestWireProtocol:
             handle.write(json.dumps({"op": "ping"}).encode() + b"\n")
             handle.flush()
             assert json.loads(handle.readline())["ok"]
+
+    def test_handler_crash_is_answered_internal(self):
+        """An exception escaping ``handle`` is answered with code
+        ``internal``; the connection stays up."""
+
+        class Crashing(AnonymizationService):
+            async def handle(self, request):
+                if request.get("op") == "crash":
+                    raise RuntimeError("boom")
+                return await super().handle(request)
+
+        with ServiceServer(Crashing()) as crashing:
+            with ServiceClient(*crashing.address) as client:
+                response = client.request({"op": "crash"})
+                assert not response["ok"]
+                assert response["code"] == "internal"
+                assert response["error"] == "RuntimeError: boom"
+                assert client.ping()["ok"]
 
     def test_parallel_clients_share_the_cache(self, server):
         table = quasi_identifiers(census_table(26, seed=9))
