@@ -22,16 +22,23 @@ as coverage ``D`` grows — the practical speedup the paper anticipates
 ("we are confident that this time bound can be significantly improved
 using appropriate data structures").  Candidate balls come from the
 backend's radius-bucketed neighbor index
-(:meth:`~repro.core.backend.DistanceBackend.neighbor_order`): one lazy
-distance row per center, bucketed once, so enumeration never rescans
-all ``|V|`` rows per (center, radius) pair and the full ``n x n``
-nested-list matrix is never materialized.
+(:meth:`~repro.core.backend.DistanceBackend.neighbor_order`): one
+distance row per center, ordered once by a stable sort, so the full
+``n x n`` matrix is never materialized.  A center's candidates are found
+with one ``bisect`` per realized radius (at most ``m + 1``) instead of a
+scan over all ``|V|`` prefixes; all candidates go into one list that is
+heapified once.  Heap keys are float ratios ``d / p``, which order
+exactly like ``Fraction(d, p)`` for every table the solver can hold (see
+:func:`build_ball_cover`).
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
+from collections.abc import Callable
 from fractions import Fraction
+from operator import truediv
 
 from repro.algorithms.base import AnonymizationResult, Anonymizer
 from repro.algorithms.reduce_cover import reduce_and_shrink
@@ -40,6 +47,19 @@ from repro.core.partition import Cover
 from repro.core.table import Table
 from repro.registry import register
 from repro.theory import theorem_4_2_bound
+
+
+def ratio_key(m: int, n: int) -> Callable[[int, int], float | Fraction]:
+    """The greedy heap's key for a ratio ``d / q`` on an n-row, m-column table.
+
+    Ratios have ``0 <= d <= m`` and ``1 <= q <= n``, so two distinct ones
+    differ by at least ``1/n^2``, while rounding ``d / q`` to a float
+    moves it by at most ``m * 2^-53``.  When ``m * n^2 < 2^52`` the float
+    order is therefore exactly the ``Fraction`` order, ties included.
+    Breaking that bound takes about 0.5 TB of neighbour orders and table
+    cells, so the ``Fraction`` branch is only a guard.
+    """
+    return truediv if m * n * n < 2 ** 52 else Fraction
 
 
 def build_ball_cover(
@@ -72,25 +92,29 @@ def build_ball_cover(
         raise ValueError(f"{n} rows cannot be covered by sets of size >= {k}")
 
     metric = get_backend(table, backend)
+    ratio = ratio_key(m, n)
 
     # Per center: the backend's radius-bucketed neighbor index (rows
-    # ordered by (distance, index), built from one lazy distance row per
+    # ordered by (distance, index), built from one distance row per
     # center — the full n x n matrix is never materialized); candidates
     # are the prefixes ending at a distance boundary with at least k
-    # members, i.e. exactly the balls S_{c, r} over realized radii r.
+    # members, i.e. exactly the balls S_{c, r} over realized radii r,
+    # found with one bisect per radius.  Every (center, prefix) pair is
+    # unique, so the heap's pop order does not depend on how it was built.
     orders: list[tuple[int, ...]] = []
-    heap: list[tuple[Fraction, int, int, int, int]] = []
+    # heap entry: (ratio, diameter estimate, center, prefix, stale new-count)
+    heap: list[tuple[float | Fraction, int, int, int, int]] = []
     for c in range(n):
         order, dists = metric.neighbor_order(c)
         orders.append(order)
-        for p in range(k, n + 1):
-            is_boundary = p == n or dists[p] > dists[p - 1]
-            if not is_boundary:
-                continue
+        p = k
+        while p <= n:
             radius = dists[p - 1]
+            p = bisect_right(dists, radius, p)
             d_est = min(2 * radius, m)
-            # heap entry: (ratio, diameter estimate, center, prefix, stale new-count)
-            heapq.heappush(heap, (Fraction(d_est, p), d_est, c, p, p))
+            heap.append((ratio(d_est, p), d_est, c, p, p))
+            p += 1
+    heapq.heapify(heap)
 
     exact_diams: dict[tuple[int, int], int] = {}
 
@@ -112,16 +136,14 @@ def build_ball_cover(
     uncovered = [True] * n
     remaining = n
     chosen: list[frozenset[int]] = []
-    evaluations = 0
     while remaining:
-        ratio, d_est, c, p, stale_new = heapq.heappop(heap)
-        evaluations += 1
+        _, d_est, c, p, _ = heapq.heappop(heap)
         newly = sum(1 for v in orders[c][:p] if uncovered[v])
         if newly == 0:
             continue
         if diameter_mode == "exact":
             d_est = ball_diameter(c, p)
-        current = Fraction(d_est, newly)
+        current = ratio(d_est, newly)
         if heap and (current, d_est, c, p) > heap[0][:4]:
             heapq.heappush(heap, (current, d_est, c, p, newly))
             continue

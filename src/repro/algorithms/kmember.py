@@ -51,11 +51,10 @@ class KMemberAnonymizer(Anonymizer):
         seeds: list[int] = []
         while len(unassigned) >= k:
             if clusters:
-                prev_seed = seeds[-1]
-                seed = max(
-                    unassigned,
-                    key=lambda i: (backend.distance(prev_seed, i), -i),
-                )
+                # farthest from the previous seed, ties to the smallest index
+                candidates = sorted(unassigned)
+                dists = backend.distances_from(seeds[-1], candidates)
+                seed = candidates[dists.index(max(dists))]
             else:
                 seed = min(unassigned)
             stats = backend.group_stats([seed])

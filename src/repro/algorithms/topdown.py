@@ -25,25 +25,25 @@ def _bisect(backend, members: list[int], k: int
     """Seed-based bisection; None if no feasible improving split exists."""
     if len(members) < 2 * k:
         return None
-    distance = backend.distance
+
+    def sweep(center: int) -> tuple[int, dict[int, int]]:
+        """The member farthest from *center* (ties to the largest index)
+        and every member's distance to *center*, from one vector call."""
+        dists = backend.distances_from(center, members)
+        return max(zip(dists, members))[1], dict(zip(members, dists))
+
     # seeds: the (approximate) diameter pair, found by double sweep
-    anchor = members[0]
-    seed_a = max(members, key=lambda i: (distance(anchor, i), i))
-    seed_b = max(members, key=lambda i: (distance(seed_a, i), i))
+    seed_a, _ = sweep(members[0])
+    seed_b, dist_a = sweep(seed_a)
     if seed_a == seed_b:
         return None  # all rows identical; splitting gains nothing
+    _, dist_b = sweep(seed_b)
     side_a, side_b = [seed_a], [seed_b]
     rest = [i for i in members if i not in (seed_a, seed_b)]
     # decide the most polarized rows first for stability
-    rest.sort(
-        key=lambda i: (
-            -abs(distance(seed_a, i) - distance(seed_b, i)),
-            i,
-        )
-    )
+    rest.sort(key=lambda i: (-abs(dist_a[i] - dist_b[i]), i))
     for i in rest:
-        da = distance(seed_a, i)
-        db = distance(seed_b, i)
+        da, db = dist_a[i], dist_b[i]
         if da < db or (da == db and len(side_a) <= len(side_b)):
             side_a.append(i)
         else:
@@ -51,15 +51,11 @@ def _bisect(backend, members: list[int], k: int
     # rebalance undersized sides by moving the nearest non-seed members
     # from the other side (total >= 2k guarantees this terminates)
     while len(side_a) < k:
-        mover = min(
-            side_b[1:], key=lambda i: (distance(seed_a, i), i)
-        )
+        mover = min(side_b[1:], key=lambda i: (dist_a[i], i))
         side_b.remove(mover)
         side_a.append(mover)
     while len(side_b) < k:
-        mover = min(
-            side_a[1:], key=lambda i: (distance(seed_b, i), i)
-        )
+        mover = min(side_a[1:], key=lambda i: (dist_b[i], i))
         side_a.remove(mover)
         side_b.append(mover)
     # Accept any split that does not increase total cost.  Equal-cost

@@ -9,15 +9,17 @@ gives those primitives a single pluggable home:
 * :class:`EncodedTable` — a table's rows integer-encoded per attribute
   and packed into the narrowest numpy integer dtype that fits, built at
   most once per table (shared through :func:`encode_table`'s weakref
-  cache).  Suppressed cells are encoded like any other symbol (``STAR``
-  equals only itself, so code equality coincides with value equality).
+  cache), in row-major and column-major layouts.  Suppressed cells are
+  encoded like any other symbol (``STAR`` equals only itself, so code
+  equality coincides with value equality).
   Columns whose post-encoding alphabet is binary — including
   ``STAR``-augmented columns that still fit two symbols — can further be
   packed ~64 per ``uint64`` lane (:meth:`EncodedTable.pack`), with the
   remaining wide columns kept in a residual integer-code matrix.
 * :class:`DistanceBackend` — the protocol: index-level distance,
   a cached pairwise distance matrix (computed lazily in row blocks),
-  per-row lazy distance rows (``distance_row``), a radius-bucketed
+  per-row lazy distance rows (``distance_row``), one-center distance
+  scans over any index list (``distances_from``), a radius-bucketed
   candidate index (``neighbor_order`` / ``neighbors_within``) for ball
   enumeration, memoized group statistics (``diameter`` / ``anon_cost``
   / ``group_image`` keyed on frozen index sets), and incremental
@@ -124,7 +126,7 @@ class EncodedTable:
     """
 
     __slots__ = (
-        "codes", "decoders", "n_rows", "degree",
+        "codes", "columns", "decoders", "n_rows", "degree",
         "_lanes", "_wide_codes", "_binary_columns", "_wide_columns",
     )
 
@@ -133,23 +135,25 @@ class EncodedTable:
 
         n, m = table.n_rows, table.degree
         encoders: list[dict[Hashable, int]] = [{} for _ in range(m)]
-        codes = np.zeros((n, m), dtype=np.int64)
-        for i, row in enumerate(table.rows):
-            for j, cell in enumerate(row):
-                encoder = encoders[j]
-                code = encoder.get(cell, -1)
-                if code < 0:
-                    code = len(encoder)
-                    encoder[cell] = code
-                codes[i, j] = code
-        max_code = int(codes.max()) if n and m else 0
+        # column by column; setdefault gives an unseen value the next code
+        columns = np.zeros((m, n), dtype=np.int64)
+        for j, column in enumerate(zip(*table.rows)):
+            encoder = encoders[j]
+            columns[j] = [
+                encoder.setdefault(cell, len(encoder)) for cell in column
+            ]
+        max_code = int(columns.max()) if n and m else 0
         if max_code < 2 ** 8:
             dtype = np.uint8
         elif max_code < 2 ** 16:
             dtype = np.uint16
         else:  # pragma: no cover - needs > 65536 distinct values per column
             dtype = np.int64
-        self.codes = codes.astype(dtype)
+        #: the code matrix transposed, C-contiguous: kernels that reduce
+        #: over attributes (one center's distance row, group diameters)
+        #: add ``m`` contiguous rows instead of reducing ``n`` short ones
+        self.columns = columns.astype(dtype)
+        self.codes = np.ascontiguousarray(self.columns.T)
         self.decoders: tuple[tuple[Hashable, ...], ...] = tuple(
             tuple(encoder) for encoder in encoders
         )
@@ -486,19 +490,46 @@ class DistanceBackend(abc.ABC):
         and ``dists`` the matching non-decreasing distances, so
         ``order[:p]`` is exactly the ball ``S_{center, dists[p-1]}``
         whenever ``p`` sits on a distance boundary.  Built once per
-        center (memoized) from one lazy distance row — ball enumeration
+        center (memoized) from one distance row — ball enumeration
         never rescans all rows per (center, radius) pair.
         """
         cached = self._neighbor_memo.get(center)
         if cached is not None:
             self.counters["memo_hits"] += 1
             return cached
-        row = self.distance_row(center)
-        order = sorted(range(self.table.n_rows), key=lambda v: (row[v], v))
-        entry = (tuple(order), tuple(row[v] for v in order))
+        entry = self._compute_neighbor_order(center)
         self._neighbor_memo[center] = entry
         self.counters["neighbor_orders"] += 1
         return entry
+
+    def _compute_neighbor_order(
+        self, center: int
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """One center's ``(order, dists)``; the reference sorts in Python."""
+        row = self.distance_row(center)
+        order = sorted(range(self.table.n_rows), key=lambda v: (row[v], v))
+        return tuple(order), tuple(row[v] for v in order)
+
+    def distances_from(self, center: int, indices: Iterable[int]) -> list[int]:
+        """Distances from row *center* to each row of *indices*, in order.
+
+        Served from a memoized distance row when one exists, otherwise
+        computed in one pass over *indices*.  Not memoized itself, so
+        one-off scans (group splits, seed picks) never grow the row memo.
+        """
+        if self._matrix is not None:
+            row = self._matrix[center]
+        else:
+            row = self._row_memo.get(center)
+        if row is not None:
+            return [row[i] for i in indices]
+        return self._compute_distances_from(center, list(indices))
+
+    def _compute_distances_from(
+        self, center: int, indices: list[int]
+    ) -> list[int]:
+        """Un-memoized distances; subclasses override with a vector pass."""
+        return [self.distance(center, i) for i in indices]
 
     def neighbors_within(self, center: int, r: int) -> list[int]:
         """Rows within distance *r* of row *center* (a ball's members).
@@ -560,7 +591,7 @@ class DistanceBackend(abc.ABC):
 
     def radius_from(self, center: int, indices: Iterable[int]) -> int:
         """Max distance from row *center* to any row in *indices*."""
-        return max((self.distance(center, i) for i in indices), default=0)
+        return max(self.distances_from(center, indices), default=0)
 
     def group_stats(self, members: Iterable[int] = ()) -> MutableGroupStats:
         """A fresh incremental statistics tracker seeded with *members*."""
@@ -633,11 +664,52 @@ class NumpyBackend(DistanceBackend):
         codes = self.encoded.codes
         return int((codes[i] != codes[j]).sum())
 
-    def _compute_distance_row(self, i: int) -> list[int]:
+    def _distances_array(self, center: int, indices: Any = None) -> Any:
+        """Distances from *center* to *indices* (all rows if None).
+
+        One vector pass; the sum is ``uint16`` whenever ``m`` fits, so a
+        stable ``argsort`` of the result runs as a radix sort.
+        """
         if self._np_matrix is not None:
-            return [int(d) for d in self._np_matrix[i]]
-        codes = self.encoded.codes
-        return (codes != codes[i]).sum(axis=1).tolist()
+            row = self._np_matrix[center]
+            return row if indices is None else row[indices]
+        columns = self.encoded.columns
+        others = columns if indices is None else columns[:, indices]
+        return (others != columns[:, center, None]).sum(
+            axis=0, dtype=_distance_dtype(self.table.degree)
+        )
+
+    def _compute_distance_row(self, i: int) -> list[int]:
+        return self._distances_array(i).tolist()
+
+    def _compute_distances_from(
+        self, center: int, indices: list[int]
+    ) -> list[int]:
+        import numpy as np
+
+        if 4 * len(indices) < self.table.n_rows:
+            idx = np.asarray(indices, dtype=np.intp)
+            return self._distances_array(center, idx).tolist()
+        # a full contiguous row beats gathering a large share of the rows
+        row = self._distances_array(center).tolist()
+        return [row[i] for i in indices]
+
+    def _compute_neighbor_order(
+        self, center: int
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """One stable ``argsort`` of the center's distance row.
+
+        A stable sort by distance alone keeps equal distances in index
+        order, which is exactly the reference's ``(distance, index)``
+        order.  The row is not memoized as a list.
+        """
+        import numpy as np
+
+        if self._np_matrix is None:
+            self.counters["matrix_rows"] += 1
+        row = self._distances_array(center)
+        order = np.argsort(row, kind="stable")
+        return tuple(order.tolist()), tuple(row[order].tolist())
 
     def matrix_array(self) -> Any:
         """The distance matrix as an ``int32`` numpy array (cached)."""
@@ -666,14 +738,16 @@ class NumpyBackend(DistanceBackend):
         if self._np_matrix is not None:
             idx = np.asarray(indices)
             return int(self._np_matrix[np.ix_(idx, idx)].max())
-        codes = self.encoded.codes
-        sub = codes[np.asarray(indices)]
-        size, m = sub.shape
+        sub = self.encoded.columns[:, np.asarray(indices)]
+        m, size = sub.shape
+        dtype = _distance_dtype(m)
         best = 0
         block = max(1, _CHUNK_CELLS // max(1, size * m))
         for start in range(0, size, block):
             stop = min(start + block, size)
-            diffs = (sub[start:stop, None, :] != sub[None, :, :]).sum(axis=2)
+            diffs = (sub[:, start:stop, None] != sub[:, None, :]).sum(
+                axis=0, dtype=dtype
+            )
             best = max(best, int(diffs.max()))
         return best
 
@@ -687,16 +761,12 @@ class NumpyBackend(DistanceBackend):
         mismatched = (codes[idx[1:]] != codes[idx[0]]).any(axis=0)
         return tuple(int(j) for j in np.flatnonzero(mismatched))
 
-    def radius_from(self, center: int, indices: Iterable[int]) -> int:
-        import numpy as np
 
-        idx = list(indices)
-        if not idx:
-            return 0
-        if self._np_matrix is not None:
-            return int(self._np_matrix[center, np.asarray(idx)].max())
-        codes = self.encoded.codes
-        return int((codes[np.asarray(idx)] != codes[center]).sum(axis=1).max())
+def _distance_dtype(m: int) -> Any:
+    """``uint16`` when every distance of an m-column table fits, else int64."""
+    import numpy as np
+
+    return np.uint16 if m < 2 ** 16 else np.int64
 
 
 #: 8-bit popcount lookup table, built on first use (numpy < 2.0 has no
@@ -754,18 +824,19 @@ class BitpackedBackend(NumpyBackend):
             d += int((wide[i] != wide[j]).sum())
         return d
 
-    def _compute_distance_row(self, i: int) -> list[int]:
-        import numpy as np
-
+    def _distances_array(self, center: int, indices: Any = None) -> Any:
         if self._np_matrix is not None:
-            return [int(d) for d in self._np_matrix[i]]
+            return super()._distances_array(center, indices)
         lanes, wide = self.packed
-        row = _lane_popcounts(lanes ^ lanes[i]).sum(
-            axis=1, dtype=np.int64
+        dtype = _distance_dtype(self.table.degree)
+        others = lanes if indices is None else lanes[indices]
+        dists = _lane_popcounts(others ^ lanes[center]).sum(
+            axis=1, dtype=dtype
         )
         if wide.shape[1]:
-            row += (wide != wide[i]).sum(axis=1)
-        return row.tolist()
+            others = wide if indices is None else wide[indices]
+            dists += (others != wide[center]).sum(axis=1, dtype=dtype)
+        return dists
 
     def matrix_array(self) -> Any:
         """The distance matrix via chunked XOR + popcount (cached).
@@ -824,23 +895,6 @@ class BitpackedBackend(NumpyBackend):
                 ).sum(axis=2, dtype=np.int32)
             best = max(best, int(diffs.max()))
         return best
-
-    def radius_from(self, center: int, indices: Iterable[int]) -> int:
-        import numpy as np
-
-        idx = list(indices)
-        if not idx:
-            return 0
-        if self._np_matrix is not None:
-            return int(self._np_matrix[center, np.asarray(idx)].max())
-        lanes, wide = self.packed
-        sel = np.asarray(idx)
-        dists = _lane_popcounts(lanes[sel] ^ lanes[center]).sum(
-            axis=1, dtype=np.int64
-        )
-        if wide.shape[1]:
-            dists += (wide[sel] != wide[center]).sum(axis=1)
-        return int(dists.max())
 
 
 # ----------------------------------------------------------------------

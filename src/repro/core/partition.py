@@ -215,7 +215,9 @@ def split_into_small_groups(
     more members can be split into two groups of at least k each, and the
     split "requires no more *s to k-anonymize it than the former one".
     Splits peel off the k members closest to an arbitrary anchor, which
-    never increases (and usually decreases) total ANON cost.
+    never increases (and usually decreases) total ANON cost.  Each peel
+    fetches the anchor's distances to the remaining members in one
+    vector call and sorts by them stably, so ties keep their order.
     """
     from repro.core.backend import get_backend
 
@@ -228,8 +230,9 @@ def split_into_small_groups(
         if len(members) < k:
             raise ValueError(f"group of size {len(members)} smaller than k={k}")
         while len(members) >= 2 * k:
-            anchor = members[0]
-            members.sort(key=lambda i: resolved.distance(anchor, i))
+            dists = resolved.distances_from(members[0], members)
+            ranked = sorted(range(len(members)), key=dists.__getitem__)
+            members = [members[j] for j in ranked]
             result.append(frozenset(members[:k]))
             members = members[k:]
         result.append(frozenset(members))

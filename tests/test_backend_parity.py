@@ -161,6 +161,9 @@ def test_group_query_parity(table_and_group):
         assert backend.radius_from(center, group) == py.radius_from(
             center, group
         )
+        assert backend.distances_from(center, sorted(group)) == (
+            py.distances_from(center, sorted(group))
+        )
 
 
 @given(st.one_of(tables(min_rows=1), mixed_width_tables(min_rows=1)))
