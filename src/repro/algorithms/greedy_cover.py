@@ -148,9 +148,12 @@ class GreedyCoverAnonymizer(Anonymizer):
         with run.phase("reduce"):
             partition = reduce_and_shrink(table, cover, backend=resolved)
         run.count("cover_sets", len(cover))
-        extras = {
-            "cover_sets": len(cover),
-            "cover_diameter_sum": cover.diameter_sum(table, backend=resolved),
-            "partition_diameter_sum": partition.diameter_sum(table, backend=resolved),
-        }
+        with run.phase("stats"):
+            extras = {
+                "cover_sets": len(cover),
+                "cover_diameter_sum": cover.diameter_sum(table, backend=resolved),
+                "partition_diameter_sum": partition.diameter_sum(
+                    table, backend=resolved
+                ),
+            }
         return self._result_from_partition(table, k, partition, extras, run=run)

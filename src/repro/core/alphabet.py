@@ -38,8 +38,9 @@ class _SuppressionSymbol:
     def __repr__(self) -> str:
         return "*"
 
-    def __hash__(self) -> int:
-        return hash("__repro_suppression_symbol__")
+    #: the identity hash: equality is identity, and a C-level hash keeps
+    #: hashing starred rows (equivalence classes, row dicts) cheap
+    __hash__ = object.__hash__
 
     def __eq__(self, other: object) -> bool:
         return other is self

@@ -152,7 +152,7 @@ def noisy_class_histogram(
     classes = equivalence_classes(table)
     # STAR reprs as "*", so suppressed cells serialize naturally.
     counts = {
-        "|".join(str(cell) for cell in key): len(indices)
+        "|".join(map(str, key)): len(indices)
         for key, indices in classes.items()
     }
     noisy = noisy_histogram(

@@ -44,3 +44,16 @@ def rng() -> np.random.Generator:
 def random_table(rng: np.random.Generator, n: int, m: int, sigma: int) -> Table:
     data = rng.integers(0, sigma, size=(n, m))
     return Table([tuple(int(v) for v in row) for row in data])
+
+
+def count_scalar_distance(backend) -> list[int]:
+    """Route *backend*'s scalar ``distance`` through a call counter."""
+    calls = [0]
+    scalar = backend.distance
+
+    def counting(i: int, j: int) -> int:
+        calls[0] += 1
+        return scalar(i, j)
+
+    backend.distance = counting
+    return calls

@@ -9,6 +9,7 @@ import pytest
 
 from repro.algorithms import (
     CenterCoverAnonymizer,
+    GreedyCoverAnonymizer,
     LocalSearchAnonymizer,
     MondrianAnonymizer,
 )
@@ -130,6 +131,19 @@ def test_trace_round_trips_json_with_nonzero_counters(rng):
     assert sum(trace["backend_counters"].values()) > 0
     # and the dataclass form rehydrates
     assert RunTrace.from_dict(trace).to_dict() == trace
+
+
+@pytest.mark.parametrize(
+    "algorithm", [CenterCoverAnonymizer, GreedyCoverAnonymizer]
+)
+def test_cover_solvers_trace_their_statistics(rng, algorithm):
+    """The diameter-sum extras run inside a ``stats`` phase, so a traced
+    solve accounts for them."""
+    table = random_table(rng, 12, 3, 3)
+    result = algorithm().anonymize(table, 2, trace=True)
+    phases = result.extras["trace"]["phases"]
+    assert set(phases) == {"cover", "reduce", "stats", "suppress"}
+    assert all(entry["calls"] == 1 for entry in phases.values())
 
 
 def test_backend_counters_are_per_call_deltas(rng):

@@ -1,11 +1,12 @@
 """The vectorised Theorem 4.2 solve path: operation counts and exact orders.
 
-The solve path builds neighbour orders with one stable sort per center,
-splits oversized groups with one vector distance call per peel, and
-keys the greedy heap with float ratios.  These tests pin down that the
-work really moved off per-element scalar calls and that every shortcut
-orders exactly like the reference it replaced (``sorted`` with a
-``(distance, index)`` key, a scalar-keyed split, ``Fraction`` ratios).
+The solve path reads ball candidates off per-center radius counts (no
+neighbour order is sorted), splits oversized groups with one vector
+distance call per peel, and keys the greedy heap with float ratios.
+These tests pin down that the work really moved off per-element scalar
+calls and that every shortcut orders exactly like the reference it
+replaced (prefixes of ``sorted`` with a ``(distance, index)`` key, a
+scalar-keyed split, ``Fraction`` ratios).
 """
 
 from __future__ import annotations
@@ -28,22 +29,9 @@ from repro.core.partition import split_into_small_groups
 from repro.core.table import Table
 from repro.workloads import census_table, quasi_identifiers, uniform_table
 
-from .conftest import random_table
+from .conftest import count_scalar_distance, random_table
 
 ALL_BACKENDS = list(available_backends())
-
-
-def _count_scalar_distance(backend) -> list[int]:
-    """Route *backend*'s scalar ``distance`` through a call counter."""
-    calls = [0]
-    scalar = backend.distance
-
-    def counting(i: int, j: int) -> int:
-        calls[0] += 1
-        return scalar(i, j)
-
-    backend.distance = counting
-    return calls
 
 
 # -- operation counts ----------------------------------------------------
@@ -57,18 +45,21 @@ def test_center_cover_solve_makes_no_scalar_distance_calls(name, shape):
     else:
         table, k = uniform_table(200, 48, alphabet_size=2, seed=11), 4
     backend = make_backend(table, name)
-    calls = _count_scalar_distance(backend)
+    calls = count_scalar_distance(backend)
     result = CenterCoverAnonymizer(backend=backend).anonymize(table, k)
     assert result.is_valid(table)
     assert calls[0] == 0
-    assert backend.counters["neighbor_orders"] == table.n_rows
+    assert backend.counters["neighbor_orders"] == 0
+    assert backend._matrix is None
+    if name != "python":
+        assert backend.counters["matrix_rows"] == table.n_rows
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)
 def test_split_makes_one_vector_call_per_peel(name, monkeypatch):
     table = quasi_identifiers(census_table(120, seed=3))
     backend = make_backend(table, name)
-    calls = _count_scalar_distance(backend)
+    calls = count_scalar_distance(backend)
     vector_calls = [0]
     vector = backend.distances_from
 
