@@ -56,7 +56,7 @@ class Anonymizer(abc.ABC):
 
     Every anonymizer accepts a ``backend=`` argument — ``None`` (honour
     the ``REPRO_BACKEND`` environment variable), a backend name
-    (``"python"`` / ``"numpy"`` / ``"bitpacked"``), or a
+    (``"python"`` / ``"numpy"``), or a
     :class:`repro.core.backend.DistanceBackend` instance — and routes
     all metric work (distances, diameters, ANON costs, group images)
     through it instead of ad-hoc tuple-level loops.

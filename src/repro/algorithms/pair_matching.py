@@ -6,7 +6,8 @@ polynomial-time algorithm exists for the *pairs-only* restriction:
 partition the rows into groups of exactly two, minimizing total ANON
 cost.  Since ``ANON({u, v}) = 2 d(u, v)``, that is exactly a
 minimum-weight perfect matching on the complete graph — solvable in
-polynomial time with Edmonds' blossom algorithm (via networkx).
+polynomial time with Edmonds' blossom algorithm (via networkx, the
+optional ``matching`` extra; the planner skips this solver without it).
 
 Pairs-only is a genuine restriction: triples can beat pairs (three
 mutually-equal rows pair at cost > 0 if the fourth row is far), so this
@@ -19,6 +20,9 @@ OPT: never better (tests assert), usually within a few stars.
 """
 
 from __future__ import annotations
+
+import functools
+import importlib.util
 
 from repro.algorithms.base import AnonymizationResult, Anonymizer
 from repro.core.backend import get_backend
@@ -55,10 +59,20 @@ def minimum_weight_pairing(table: Table, backend=None) -> list[tuple[int, int]]:
     return pairs
 
 
+@functools.cache
+def _networkx_importable() -> bool:
+    """True iff the optional ``networkx`` dependency (the ``matching``
+    extra) can be imported; looked up once, without importing it."""
+    return importlib.util.find_spec("networkx") is not None
+
+
 @register(
     "pair_matching",
     kind="heuristic",
     summary="Edmonds blossom matching; optimal among pairs-only at k=2",
+    applicable=lambda n, m, sigma, k: (
+        k == 2 and n >= 2 and _networkx_importable()
+    ),
 )
 class PairMatchingAnonymizer(Anonymizer):
     """Exact pairs-only 2-anonymity (k = 2 only).

@@ -210,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="admission cap: reject requests asking for more budget",
     )
     serve.add_argument(
-        "--backend", choices=["python", "numpy", "bitpacked"], default=None,
+        "--backend", choices=["python", "numpy"], default=None,
         help="distance backend for all solves (default: REPRO_BACKEND)",
     )
     serve.add_argument(
@@ -263,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="budget for one health-check ping (default: 2.0)",
     )
     route.add_argument(
-        "--backend", choices=["python", "numpy", "bitpacked"], default=None,
+        "--backend", choices=["python", "numpy"], default=None,
         help="backend baked into routing keys — must match the shards' "
              "(default: REPRO_BACKEND)",
     )
@@ -384,7 +384,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     """Shared per-run flags: backend selection, deadline, tracing."""
     parser.add_argument(
         "--backend",
-        choices=["python", "numpy", "bitpacked"],
+        choices=["python", "numpy"],
         default=None,
         help="distance backend (default: the REPRO_BACKEND env variable)",
     )

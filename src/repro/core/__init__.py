@@ -9,7 +9,6 @@ partition notions of Section 4.1.
 
 from repro.core.alphabet import STAR, Alphabet, infer_alphabets, is_suppressed
 from repro.core.backend import (
-    BitpackedBackend,
     DistanceBackend,
     NumpyBackend,
     PythonBackend,
@@ -44,7 +43,6 @@ from repro.core.table import Table
 __all__ = [
     "STAR",
     "Alphabet",
-    "BitpackedBackend",
     "Cover",
     "DistanceBackend",
     "NumpyBackend",

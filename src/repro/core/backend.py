@@ -11,11 +11,11 @@ gives those primitives a single pluggable home:
   most once per table (shared through :func:`encode_table`'s weakref
   cache), in row-major and column-major layouts.  Suppressed cells are
   encoded like any other symbol (``STAR`` equals only itself, so code
-  equality coincides with value equality).
-  Columns whose post-encoding alphabet is binary — including
-  ``STAR``-augmented columns that still fit two symbols — can further be
-  packed ~64 per ``uint64`` lane (:meth:`EncodedTable.pack`), with the
-  remaining wide columns kept in a residual integer-code matrix.
+  equality coincides with value equality).  Its kernel view
+  (:meth:`EncodedTable.kernel`) packs the binary columns — including
+  ``STAR``-augmented columns that still fit two symbols — 64 per
+  ``uint64`` lane when that moves fewer bytes per row pair than
+  comparing their codes, and keeps the other columns as codes.
 * :class:`DistanceBackend` — the protocol: index-level distance,
   a cached pairwise distance matrix (computed lazily in row blocks),
   per-row lazy distance rows (``distance_row``), one-center distance
@@ -27,17 +27,15 @@ gives those primitives a single pluggable home:
   per-group statistics (:class:`MutableGroupStats`).
 * :class:`PythonBackend` — current semantics, zero dependencies; the
   reference oracle for the parity suite.
-* :class:`NumpyBackend` — a column-by-column ``uint16`` distance
-  matrix, ball candidates counted over it, and vectorized group
-  reductions over index arrays.
-* :class:`BitpackedBackend` — Hamming distances via XOR + popcount over
-  the ``uint64`` lanes plus a fallback compare over the residual wide
-  columns; the fastest kernel for wide binary tables (the Theorem 3.2
-  regime).
+* :class:`NumpyBackend` — every distance kernel reads the kernel view:
+  XOR + popcount over the lanes plus a code compare over the other
+  columns.  A ``uint16`` distance matrix filled that way, ball
+  candidates counted over it, and vectorized group reductions over
+  index arrays.
 
 Backend selection: the ``REPRO_BACKEND`` environment variable
-(``python``, ``numpy``, or ``bitpacked``) picks the default for the
-whole process; unset, the numpy backend is used whenever numpy imports.
+(``python`` or ``numpy``) picks the default for the whole process;
+unset, the numpy backend is used whenever numpy imports.
 Every :class:`~repro.algorithms.base.Anonymizer` also accepts an
 explicit ``backend=`` argument (a name or a backend instance).
 
@@ -82,7 +80,7 @@ def available_backends() -> tuple[str, ...]:
     """Names accepted by :func:`make_backend` here and now."""
     names = ["python"]
     if numpy_available():
-        names.extend(["numpy", "bitpacked"])
+        names.append("numpy")
     return tuple(names)
 
 
@@ -93,10 +91,9 @@ def default_backend_name() -> str:
     """
     name = os.environ.get("REPRO_BACKEND", "").strip().lower()
     if name:
-        if name not in ("python", "numpy", "bitpacked"):
+        if name not in ("python", "numpy"):
             raise ValueError(
-                f"REPRO_BACKEND={name!r}: expected 'python', 'numpy', "
-                f"or 'bitpacked'"
+                f"REPRO_BACKEND={name!r}: expected 'python' or 'numpy'"
             )
         if name != "python" and not numpy_available():  # pragma: no cover
             raise ValueError(
@@ -120,18 +117,11 @@ class EncodedTable:
     the narrowest unsigned dtype that holds the largest code, which
     keeps the broadcast distance computation memory-bandwidth friendly.
 
-    On top of the code matrix, :meth:`pack` derives (lazily, once) a
-    *bit-packed* view for :class:`BitpackedBackend`: every column whose
-    post-encoding alphabet has at most two symbols — genuinely binary
-    data, constant columns, and ``STAR``-augmented columns that still
-    fit — contributes one bit, ~64 columns per ``uint64`` lane, while
-    the remaining wide columns stay behind in a residual code matrix.
+    On top of the code matrix, :meth:`kernel` derives (lazily, once)
+    the view every distance kernel reads.
     """
 
-    __slots__ = (
-        "codes", "columns", "decoders", "n_rows", "degree",
-        "_lanes", "_wide_codes", "_binary_columns", "_wide_columns",
-    )
+    __slots__ = ("codes", "columns", "decoders", "n_rows", "degree", "_kernel")
 
     def __init__(self, table):
         import numpy as np
@@ -162,64 +152,42 @@ class EncodedTable:
         )
         self.n_rows = n
         self.degree = m
-        self._lanes: Any = None
-        self._wide_codes: Any = None
-        self._binary_columns: tuple[int, ...] | None = None
-        self._wide_columns: tuple[int, ...] | None = None
+        self._kernel: tuple[Any, Any] | None = None
 
     def decode(self, j: int, code: int) -> Hashable:
         """The original attribute value behind column *j*'s *code*."""
         return self.decoders[j][code]
 
-    # -- bit-packed lane view (built lazily, at most once) -------------
+    def kernel(self) -> tuple[Any, Any]:
+        """``(lanes, wide)``: the view the distance kernels read (cached).
 
-    def pack(self) -> tuple[Any, Any]:
-        """``(lanes, wide_codes)``: the bit-packed view of the table.
-
-        ``lanes`` is an ``(n_rows, n_lanes) uint64`` array holding one
-        bit per binary column (codes are 0/1 by first-appearance
-        construction); ``wide_codes`` is the ``(n_rows, n_wide)``
-        residual code matrix of the columns with three or more symbols.
-        Hamming distance decomposes exactly as ``popcount(lanes[i] ^
-        lanes[j]) + count(wide_codes[i] != wide_codes[j])``.
+        ``lanes`` is an ``(n_lanes, n_rows) uint64`` array holding one bit
+        per binary column (at most two symbols, so codes are 0/1 by
+        first-appearance construction); ``wide`` is the ``(n_wide,
+        n_rows)`` code matrix of the other columns.  Hamming distance is
+        ``popcount(lanes[:, i] ^ lanes[:, j]) + count(wide[:, i] !=
+        wide[:, j])``.  The binary columns are packed only when their
+        lanes move fewer bytes per row pair than their codes do;
+        otherwise there are no lanes and ``wide`` is :attr:`columns`
+        itself.
         """
-        if self._lanes is None:
+        if self._kernel is None:
             import numpy as np
 
-            codes = self.codes
-            binary = tuple(
-                j for j, decoder in enumerate(self.decoders)
-                if len(decoder) <= 2
-            )
-            wide = tuple(
-                j for j, decoder in enumerate(self.decoders)
-                if len(decoder) > 2
-            )
+            columns = self.columns
+            binary = [j for j, d in enumerate(self.decoders) if len(d) <= 2]
             n_lanes = (len(binary) + 63) // 64
-            lanes = np.zeros((self.n_rows, n_lanes), dtype=np.uint64)
-            if self.n_rows and binary:
-                bits = codes[:, list(binary)].astype(np.uint64)
-                for t in range(len(binary)):
-                    lanes[:, t >> 6] |= bits[:, t] << np.uint64(t & 63)
-            self._lanes = lanes
-            self._wide_codes = np.ascontiguousarray(codes[:, list(wide)])
-            self._binary_columns = binary
-            self._wide_columns = wide
-        return self._lanes, self._wide_codes
-
-    @property
-    def binary_columns(self) -> tuple[int, ...]:
-        """Columns packed into the ``uint64`` lanes (``<= 2`` symbols)."""
-        self.pack()
-        assert self._binary_columns is not None
-        return self._binary_columns
-
-    @property
-    def wide_columns(self) -> tuple[int, ...]:
-        """Columns kept in the residual code matrix (``>= 3`` symbols)."""
-        self.pack()
-        assert self._wide_columns is not None
-        return self._wide_columns
+            if 8 * n_lanes < len(binary) * columns.itemsize:
+                lanes = np.zeros((n_lanes, self.n_rows), dtype=np.uint64)
+                for t, j in enumerate(binary):
+                    bits = columns[j].astype(np.uint64)
+                    lanes[t >> 6] |= bits << np.uint64(t & 63)
+                wide = np.delete(columns, binary, axis=0)
+            else:
+                lanes = np.zeros((0, self.n_rows), dtype=np.uint64)
+                wide = columns
+            self._kernel = (lanes, wide)
+        return self._kernel
 
 
 #: id(table) -> EncodedTable; entries evicted when the table is garbage
@@ -231,10 +199,10 @@ _ENCODED_CACHE: dict[int, EncodedTable] = {}
 def encode_table(table) -> EncodedTable:
     """The shared :class:`EncodedTable` of *table* (encoded at most once).
 
-    Every numpy-family backend instance over the same table object —
-    cached or fresh, ``numpy`` or ``bitpacked`` — resolves to the same
-    encoding, so the O(n·m) Python encode loop and the bit-packing pass
-    are paid once per table, not once per backend.
+    Every numpy backend instance over the same table object — cached or
+    fresh — resolves to the same encoding, so the O(n·m) Python encode
+    loop and the bit-packing pass are paid once per table, not once per
+    backend.
     """
     key = id(table)
     encoded = _ENCODED_CACHE.get(key)
@@ -681,12 +649,17 @@ class PythonBackend(DistanceBackend):
 
 
 class NumpyBackend(DistanceBackend):
-    """Vectorized backend over an :class:`EncodedTable`.
+    """Vectorized backend over an :class:`EncodedTable`'s kernel view.
 
-    The distance matrix is filled one attribute column at a time, in row
-    blocks of at most ``_CHUNK_CELLS`` cells; once built, distance rows,
-    one-center scans, diameters and ball candidates all read it.  Group
-    reductions run over index arrays without touching Python tuples.
+    Every distance kernel is one popcount over the XOR of the bit-packed
+    lanes plus one compare over the wide codes (see
+    :meth:`EncodedTable.kernel`); a table with nothing worth packing has
+    no lanes, and the lane term is skipped.  The distance matrix is
+    filled one lane or column at a time, in row blocks of at most
+    ``_CHUNK_CELLS`` cells; once built, distance rows, one-center scans,
+    diameters and ball candidates all read it.  Group reductions that
+    are not distance-shaped (``disagreeing_coordinates``, hence
+    ``anon_cost`` / ``group_image``) read the row-major codes.
     """
 
     name = "numpy"
@@ -703,8 +676,13 @@ class NumpyBackend(DistanceBackend):
     def distance(self, i: int, j: int) -> int:
         if self._np_matrix is not None:
             return int(self._np_matrix[i, j])
-        codes = self.encoded.codes
-        return int((codes[i] != codes[j]).sum())
+        import numpy as np
+
+        lanes, wide = self.encoded.kernel()
+        d = int(np.count_nonzero(wide[:, i] != wide[:, j]))
+        if len(lanes):
+            d += sum(x.bit_count() for x in (lanes[:, i] ^ lanes[:, j]).tolist())
+        return d
 
     def _distances_array(self, center: int, indices: Any = None) -> Any:
         """Distances from *center* to *indices* (all rows if None).
@@ -715,11 +693,16 @@ class NumpyBackend(DistanceBackend):
         if self._np_matrix is not None:
             row = self._np_matrix[center]
             return row if indices is None else row[indices]
-        columns = self.encoded.columns
-        others = columns if indices is None else columns[:, indices]
-        return (others != columns[:, center, None]).sum(
-            axis=0, dtype=_distance_dtype(self.table.degree)
-        )
+        lanes, wide = self.encoded.kernel()
+        dtype = _distance_dtype(self.table.degree)
+        others = wide if indices is None else wide[:, indices]
+        dists = (others != wide[:, center, None]).sum(axis=0, dtype=dtype)
+        if len(lanes):
+            others = lanes if indices is None else lanes[:, indices]
+            dists += _lane_popcounts(others ^ lanes[:, center, None]).sum(
+                axis=0, dtype=dtype
+            )
+        return dists
 
     def _compute_distance_row(self, i: int) -> list[int]:
         return self._distances_array(i).tolist()
@@ -795,23 +778,25 @@ class NumpyBackend(DistanceBackend):
         """The distance matrix as a numpy array (cached).
 
         Its dtype is ``uint16`` whenever every distance fits (see
-        :func:`_distance_dtype`).  Filled one column at a time: each
-        column adds its ``(block, n)`` mismatch grid into the matrix, so
-        the hot loop is a few contiguous ufunc calls per column instead
-        of a reduction over a short last axis.
+        :func:`_distance_dtype`).  Filled one lane or column at a time:
+        each adds its ``(block, n)`` popcount or mismatch grid into the
+        matrix, so the hot loop is a few contiguous ufunc calls per lane
+        or column instead of a reduction over a short last axis.
         """
         if self._np_matrix is None:
             import numpy as np
 
-            columns = self.encoded.columns
-            m, n = columns.shape
-            matrix = np.zeros((n, n), dtype=_distance_dtype(m))
+            lanes, wide = self.encoded.kernel()
+            n = self.encoded.n_rows
+            matrix = np.zeros((n, n), dtype=_distance_dtype(self.table.degree))
             block = max(1, _CHUNK_CELLS // max(1, n))
             for start in range(0, n, block):
                 stop = min(start + block, n)
                 rows = matrix[start:stop]
-                for col in columns:
-                    rows += col[start:stop, None] != col[None, :]
+                for lane in lanes:
+                    rows += _lane_popcounts(lane[start:stop, None] ^ lane)
+                for col in wide:
+                    rows += col[start:stop, None] != col
                 self.counters["matrix_rows"] += stop - start
             self._np_matrix = matrix
         return self._np_matrix
@@ -822,19 +807,25 @@ class NumpyBackend(DistanceBackend):
     def _compute_diameter(self, indices: tuple[int, ...]) -> int:
         import numpy as np
 
+        idx = np.asarray(indices)
         if self._np_matrix is not None:
-            idx = np.asarray(indices)
             return int(self._np_matrix[np.ix_(idx, idx)].max())
-        sub = self.encoded.columns[:, np.asarray(indices)]
-        m, size = sub.shape
-        dtype = _distance_dtype(m)
+        lanes, wide = self.encoded.kernel()
+        sub_lanes, sub_wide = lanes[:, idx], wide[:, idx]
+        dtype = _distance_dtype(self.table.degree)
+        size = len(indices)
+        per_pair = max(1, 8 * len(lanes) + len(wide))
         best = 0
-        block = max(1, _CHUNK_CELLS // max(1, size * m))
+        block = max(1, _CHUNK_CELLS // max(1, size * per_pair))
         for start in range(0, size, block):
             stop = min(start + block, size)
-            diffs = (sub[:, start:stop, None] != sub[:, None, :]).sum(
-                axis=0, dtype=dtype
-            )
+            diffs = (
+                sub_wide[:, start:stop, None] != sub_wide[:, None, :]
+            ).sum(axis=0, dtype=dtype)
+            if len(lanes):
+                diffs += _lane_popcounts(
+                    sub_lanes[:, start:stop, None] ^ sub_lanes[:, None, :]
+                ).sum(axis=0, dtype=dtype)
             best = max(best, int(diffs.max()))
         return best
 
@@ -877,113 +868,6 @@ def _lane_popcounts(lanes: Any) -> Any:
     ].sum(axis=-1, dtype=np.uint8)
 
 
-class BitpackedBackend(NumpyBackend):
-    """XOR + popcount distances over the bit-packed lane encoding.
-
-    Binary columns (at most two post-encoding symbols, ``STAR``
-    included) live ~64 per ``uint64`` lane, so one row-pair distance is
-    ``n_lanes`` XORs and popcounts instead of ``m`` per-attribute
-    compares; the residual wide columns fall back to the
-    :class:`NumpyBackend` compare.  On wide binary tables — the
-    Theorem 3.2 hardness regime — the distance matrix build runs an
-    order of magnitude faster than the broadcast compare (gated at
-    >= 5x by ``benchmarks/bench_e21_bitpack_kernel.py``).
-
-    Group reductions that are not distance-shaped
-    (``disagreeing_coordinates``, hence ``anon_cost`` / ``group_image``)
-    reuse the inherited code-matrix kernels: the primitives stay
-    bit-identical to :class:`PythonBackend` on every table.
-    """
-
-    name = "bitpacked"
-
-    @property
-    def packed(self) -> tuple[Any, Any]:
-        """``(lanes, wide_codes)`` of the shared table encoding."""
-        return self.encoded.pack()
-
-    def distance(self, i: int, j: int) -> int:
-        if self._np_matrix is not None:
-            return int(self._np_matrix[i, j])
-        lanes, wide = self.packed
-        d = int(_lane_popcounts(lanes[i] ^ lanes[j]).sum())
-        if wide.shape[1]:
-            d += int((wide[i] != wide[j]).sum())
-        return d
-
-    def _distances_array(self, center: int, indices: Any = None) -> Any:
-        if self._np_matrix is not None:
-            return super()._distances_array(center, indices)
-        lanes, wide = self.packed
-        dtype = _distance_dtype(self.table.degree)
-        others = lanes if indices is None else lanes[indices]
-        dists = _lane_popcounts(others ^ lanes[center]).sum(
-            axis=1, dtype=dtype
-        )
-        if wide.shape[1]:
-            others = wide if indices is None else wide[indices]
-            dists += (others != wide[center]).sum(axis=1, dtype=dtype)
-        return dists
-
-    def matrix_array(self) -> Any:
-        """The distance matrix via chunked XOR + popcount (cached).
-
-        Accumulates one lane (and one wide column) at a time: the
-        temporaries stay two-dimensional ``(block, n)`` — XOR, popcount,
-        add — instead of materializing a ``(block, n, n_lanes)`` cube
-        and reducing it, which keeps the hot loop inside fast contiguous
-        ufunc calls.
-        """
-        if self._np_matrix is None:
-            import numpy as np
-
-            lanes, wide = self.packed
-            n = self.encoded.n_rows
-            matrix = np.zeros((n, n), dtype=_distance_dtype(self.table.degree))
-            # per-lane temporaries are (block, n) uint64 XOR grids
-            block = max(1, _CHUNK_CELLS // max(1, n))
-            for start in range(0, n, block):
-                stop = min(start + block, n)
-                ham = matrix[start:stop]
-                for lane in range(lanes.shape[1]):
-                    col = lanes[:, lane]
-                    ham += _lane_popcounts(
-                        col[start:stop, None] ^ col[None, :]
-                    )
-                for j in range(wide.shape[1]):
-                    col = wide[:, j]
-                    ham += col[start:stop, None] != col[None, :]
-                self.counters["matrix_rows"] += stop - start
-            self._np_matrix = matrix
-        return self._np_matrix
-
-    def _compute_diameter(self, indices: tuple[int, ...]) -> int:
-        import numpy as np
-
-        if self._np_matrix is not None:
-            idx = np.asarray(indices)
-            return int(self._np_matrix[np.ix_(idx, idx)].max())
-        lanes, wide = self.packed
-        idx = np.asarray(indices)
-        sub_lanes = lanes[idx]
-        sub_wide = wide[idx]
-        size = len(indices)
-        per_pair = max(1, 8 * lanes.shape[1] + wide.shape[1])
-        best = 0
-        block = max(1, _CHUNK_CELLS // max(1, size * per_pair))
-        for start in range(0, size, block):
-            stop = min(start + block, size)
-            diffs = _lane_popcounts(
-                sub_lanes[start:stop, None, :] ^ sub_lanes[None, :, :]
-            ).sum(axis=2, dtype=np.int32)
-            if wide.shape[1]:
-                diffs += (
-                    sub_wide[start:stop, None, :] != sub_wide[None, :, :]
-                ).sum(axis=2, dtype=np.int32)
-            best = max(best, int(diffs.max()))
-        return best
-
-
 # ----------------------------------------------------------------------
 # Selection and per-table caching
 # ----------------------------------------------------------------------
@@ -991,7 +875,6 @@ class BitpackedBackend(NumpyBackend):
 _BACKEND_CLASSES: dict[str, type[DistanceBackend]] = {
     "python": PythonBackend,
     "numpy": NumpyBackend,
-    "bitpacked": BitpackedBackend,
 }
 
 def make_backend(table, name: str | None = None) -> DistanceBackend:

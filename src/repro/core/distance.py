@@ -176,29 +176,6 @@ def pairwise_distance_matrix(table) -> list[list[int]]:
     return matrix
 
 
-def fast_pairwise_distance_matrix(table) -> list[list[int]]:
-    """Deprecated shim over the backend layer's cached distance matrix.
-
-    Historically this did a per-row numpy loop over
-    ``(encoded != encoded[i]).sum(axis=1)``; the chunked-broadcast
-    implementation now lives in
-    :meth:`repro.core.backend.NumpyBackend.matrix_array`.  Call
-    ``get_backend(table).distance_matrix()`` instead — this wrapper only
-    survives for older callers and will be removed.
-    """
-    import warnings
-
-    warnings.warn(
-        "fast_pairwise_distance_matrix is deprecated; use "
-        "repro.core.backend.get_backend(table).distance_matrix()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.backend import get_backend
-
-    return get_backend(table).distance_matrix()
-
-
 def is_consistent_suppression(original: Sequence[Hashable],
                               anonymized: Sequence[Hashable]) -> bool:
     """True iff *anonymized* is *original* with some cells starred.

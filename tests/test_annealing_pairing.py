@@ -187,3 +187,32 @@ class TestPairMatchingAnonymizer:
         assert PairMatchingAnonymizer().anonymize(Table([]), 2).stars == 0
         with pytest.raises(InfeasibleAnonymizationError):
             PairMatchingAnonymizer().anonymize(Table([(1,)]), 2)
+
+    def test_applicable_only_at_k2_with_networkx(self, monkeypatch):
+        """The planner sees pair_matching only where it can run: k = 2,
+        n >= 2 and networkx importable."""
+        import sys
+
+        from repro import planner, registry
+        from repro.algorithms.pair_matching import _networkx_importable
+
+        info = registry.get("pair_matching")
+        assert info.is_applicable(10, 3, 2, 2)
+        assert not info.is_applicable(10, 3, 2, 3)
+        assert not info.is_applicable(1, 3, 2, 2)
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        _networkx_importable.cache_clear()
+        try:
+            assert not info.is_applicable(10, 3, 2, 2)
+            for n in (2, 9, 40):
+                features = planner.InstanceFeatures(n=n, m=3, sigma=2, k=2)
+                for budget in (None, 10.0, 1e-3, 1e-9):
+                    decision = planner.plan_features(features, budget=budget)
+                    assert decision.algorithm != "pair_matching"
+                    (candidate,) = [
+                        c for c in decision.candidates
+                        if c.name == "pair_matching"
+                    ]
+                    assert not candidate.applicable
+        finally:
+            _networkx_importable.cache_clear()

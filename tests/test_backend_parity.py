@@ -2,13 +2,13 @@
 
 The pure-Python backend is the reference oracle — its primitives are the
 row-level functions in :mod:`repro.core.distance` applied verbatim.  The
-numpy backend re-derives every primitive from the integer-encoded table,
-and the bitpacked backend re-derives them again from XOR+popcount over
-uint64 lanes (binary columns) plus residual compares (wide columns), so
-this suite drives all available backends with the same generated tables
-(random values, suppressed cells, mixed binary/wide alphabets, degenerate
-shapes) and requires exact agreement, including Python types (plain
-``int``, plain ``list``).
+numpy backend re-derives every primitive from the integer-encoded table:
+XOR+popcount over uint64 lanes (binary columns, packed only when that
+pays) plus compares over the other columns' codes.  This suite drives
+all available backends with the same generated tables (random values,
+suppressed cells, mixed binary/wide alphabets, tables on both sides of
+the packing rule, degenerate shapes) and requires exact agreement,
+including Python types (plain ``int``, plain ``list``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.core.alphabet import STAR
 from repro.core.backend import (
-    BitpackedBackend,
     EncodedTable,
     NumpyBackend,
     available_backends,
@@ -35,7 +34,7 @@ from repro.core.backend import (
 )
 from repro.core.distance import pairwise_distance_matrix
 from repro.core.table import Table
-from repro.workloads import census_table, quasi_identifiers
+from repro.workloads import census_table, quasi_identifiers, uniform_table
 
 pytestmark = pytest.mark.skipif(
     "numpy" not in available_backends(),
@@ -49,8 +48,9 @@ _VALUES = st.one_of(
     st.sampled_from(["a", "b", STAR]),
 )
 
-# columns drawn from a two-symbol pool encode to <= 2 codes and land in
-# the bitpacked lanes; the wide pool forces the residual compare path
+# columns drawn from a two-symbol pool encode to <= 2 codes (binary
+# columns, packed into lanes once a table has enough of them); the wide
+# pool forces the code compare path
 _BINARY_VALUES = st.sampled_from([0, 1])
 _STARRED_BINARY_VALUES = st.sampled_from(["yes", STAR])
 _WIDE_VALUES = st.sampled_from([0, 1, 2, "q", STAR])
@@ -326,13 +326,15 @@ def test_encoded_table_packs_narrow_dtypes():
 
 
 def test_encode_once_per_table():
-    """All backend instances over one table share one EncodedTable."""
+    """All backend instances over one table share one EncodedTable and
+    one kernel view."""
     table = Table([(0, 1, "a"), (1, 0, "b"), (0, 0, "c")])
     npb = make_backend(table, "numpy")
-    bp = make_backend(table, "bitpacked")
-    assert isinstance(npb, NumpyBackend) and isinstance(bp, BitpackedBackend)
-    assert npb.encoded is bp.encoded
+    other = get_backend(table, "numpy")
+    assert isinstance(npb, NumpyBackend) and other is not npb
+    assert npb.encoded is other.encoded
     assert encode_table(table) is npb.encoded
+    assert npb.encoded.kernel() is other.encoded.kernel()
     # fresh instances over the same live table still hit the cache
     assert make_backend(table, "numpy").encoded is npb.encoded
 
@@ -372,6 +374,87 @@ def test_solved_table_is_freed_with_its_caches():
 
 # -- bit-packed lanes ---------------------------------------------------
 
+#: binary-column counts on both sides of the packing rule (uint8 codes
+#: pack from 9 binary columns on) and of the 64-bit lane boundary
+_LANE_COUNTS = [0, 8, 9, 63, 64, 65, 130]
+
+
+@st.composite
+def lane_tables(draw) -> Table:
+    """``n_binary`` binary columns (plain 0/1 or ``STAR``-augmented) and
+    0-3 wide or ``STAR``-augmented columns, in a drawn column order."""
+    n_binary = draw(st.sampled_from(_LANE_COUNTS))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    starred = rng.integers(0, 2, n_binary).astype(bool)
+    bits = rng.integers(0, 2, (n, n_binary))
+    binary = [
+        [("yes", STAR)[b] if starred[j] else int(b) for j, b in enumerate(row)]
+        for row in bits
+    ]
+    pools = draw(st.lists(
+        st.sampled_from([_WIDE_VALUES, _STARRED_BINARY_VALUES]), max_size=3
+    ))
+    wide = [[draw(pool) for pool in pools] for _ in range(n)]
+    order = draw(st.permutations(range(n_binary + len(pools))))
+    return Table([
+        tuple((b + w)[j] for j in order) for b, w in zip(binary, wide)
+    ])
+
+
+def _expected_lanes(encoded: EncodedTable) -> int:
+    """Lanes the packing rule gives: pack iff lanes move fewer bytes."""
+    n_binary = sum(len(decoder) <= 2 for decoder in encoded.decoders)
+    n_lanes = (n_binary + 63) // 64
+    return n_lanes if 8 * n_lanes < n_binary * encoded.columns.itemsize else 0
+
+
+@given(lane_tables(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lane_parity(table, data):
+    """Every primitive equals the oracle whether or not lanes are packed."""
+    n, m = table.n_rows, table.degree
+    py = make_backend(table, "python")
+    fresh = make_backend(table, "numpy")
+    cached = make_backend(table, "numpy")
+    lanes, wide = fresh.encoded.kernel()
+    assert len(lanes) == _expected_lanes(fresh.encoded)
+    assert len(wide) == m - (
+        sum(len(d) <= 2 for d in fresh.encoded.decoders) if len(lanes) else 0
+    )
+    group = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    subset = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    k = data.draw(st.integers(1, n))
+    # the uncached kernels first, then the same queries over the matrix
+    for i in range(n):
+        assert [fresh.distance(i, j) for j in range(n)] == py.distance_row(i)
+        assert fresh.distances_from(i, subset) == py.distances_from(i, subset)
+    assert fresh.diameter(group) == py.diameter(group)
+    assert fresh.group_image(group) == py.group_image(group)
+    assert cached.matrix_array().tolist() == py.distance_matrix()
+    assert cached.diameter(group) == py.diameter(group)
+    for backend in (fresh, cached):
+        assert backend.ball_candidates(k) == py.ball_candidates(k)
+        for i in range(n):
+            assert backend.distance_row(i) == py.distance_row(i)
+            for r in range(m + 1):
+                assert backend.neighbors_within(i, r) == py.neighbors_within(
+                    i, r
+                )
+
+
+def test_packing_rule_on_the_benchmark_shapes():
+    """Census quasi-identifiers (one binary column) pack nothing; the
+    binary 800x128 table packs its 128 columns into two lanes."""
+    census = encode_table(quasi_identifiers(census_table(1000)))
+    lanes, wide = census.kernel()
+    assert lanes.shape == (0, 1000)
+    assert wide is census.columns
+    binary = encode_table(uniform_table(800, 128, alphabet_size=2))
+    lanes, wide = binary.kernel()
+    assert lanes.dtype == np.uint64 and lanes.shape == (2, 800)
+    assert wide.shape == (0, 800)
+
 
 def _binary_wide_table(n_rows: int, n_binary: int, seed: int = 0) -> Table:
     """n_binary 0/1 columns (spanning >1 lane when > 64) plus 3 wide."""
@@ -386,45 +469,48 @@ def _binary_wide_table(n_rows: int, n_binary: int, seed: int = 0) -> Table:
 
 def test_bitpacked_lane_layout():
     table = _binary_wide_table(6, 130)
-    bp = make_backend(table, "bitpacked")
-    lanes, wide = bp.packed
+    encoded = make_backend(table, "numpy").encoded
+    lanes, wide = encoded.kernel()
+    binary = [j for j, d in enumerate(encoded.decoders) if len(d) <= 2]
+    assert len(binary) >= 130
     assert lanes.dtype == np.uint64
-    assert lanes.shape == (6, 3)  # 130 binary bits -> 3 uint64 lanes
-    assert wide.shape[0] == 6
-    encoded = bp.encoded
-    assert len(encoded.binary_columns) >= 130
-    assert set(encoded.binary_columns) | set(encoded.wide_columns) == set(
-        range(table.degree)
-    )
+    # 130+ binary bits -> 3 uint64 lanes, lane-major like the columns
+    assert lanes.shape == ((len(binary) + 63) // 64, 6) == (3, 6)
+    assert wide.shape == (table.degree - len(binary), 6)
+    for t, j in enumerate(binary):
+        bit = (lanes[t >> 6] >> np.uint64(t & 63)) & np.uint64(1)
+        assert (bit == encoded.columns[j]).all()
 
 
 def test_bitpacked_parity_across_lane_boundary():
     """Exact parity on a table whose lanes cross the 64-bit boundary."""
     table = _binary_wide_table(12, 130, seed=7)
     py = make_backend(table, "python")
-    bp = make_backend(table, "bitpacked")
-    assert bp.distance_matrix() == py.distance_matrix()
+    npb = make_backend(table, "numpy")
+    assert len(npb.encoded.kernel()[0]) == 3
     group = frozenset([0, 3, 11])
-    assert bp.diameter(group) == py.diameter(group)
-    assert bp.anon_cost(group) == py.anon_cost(group)
-    assert bp.group_image(group) == py.group_image(group)
+    assert npb.diameter(group) == py.diameter(group)
+    assert npb.distance_matrix() == py.distance_matrix()
+    assert npb.anon_cost(group) == py.anon_cost(group)
+    assert npb.group_image(group) == py.group_image(group)
 
 
 def test_bitpacked_all_wide_columns_fall_back():
     """A table with no binary columns still works (zero-lane packing)."""
     table = Table([(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 4, 8)])
     py = make_backend(table, "python")
-    bp = make_backend(table, "bitpacked")
-    lanes, wide = bp.packed
-    assert lanes.shape[1] == 0 and wide.shape[1] == 3
-    assert bp.distance_matrix() == py.distance_matrix()
+    npb = make_backend(table, "numpy")
+    lanes, wide = npb.encoded.kernel()
+    assert lanes.shape[0] == 0 and wide.shape[0] == 3
+    assert wide is npb.encoded.columns
+    assert npb.distance_matrix() == py.distance_matrix()
 
 
 # -- selection and caching ----------------------------------------------
 
 
-def test_available_backends_lists_bitpacked():
-    assert available_backends() == ("python", "numpy", "bitpacked")
+def test_available_backends_lists_python_and_numpy():
+    assert available_backends() == ("python", "numpy")
 
 
 def test_default_backend_honours_env(monkeypatch):
@@ -432,11 +518,10 @@ def test_default_backend_honours_env(monkeypatch):
     assert default_backend_name() == "python"
     monkeypatch.setenv("REPRO_BACKEND", "numpy")
     assert default_backend_name() == "numpy"
-    monkeypatch.setenv("REPRO_BACKEND", "bitpacked")
-    assert default_backend_name() == "bitpacked"
-    monkeypatch.setenv("REPRO_BACKEND", "fortran")
-    with pytest.raises(ValueError, match="REPRO_BACKEND"):
-        default_backend_name()
+    for removed in ("bitpacked", "fortran"):
+        monkeypatch.setenv("REPRO_BACKEND", removed)
+        with pytest.raises(ValueError, match="REPRO_BACKEND"):
+            default_backend_name()
     monkeypatch.delenv("REPRO_BACKEND")
     assert default_backend_name() == "numpy"
 
@@ -446,7 +531,8 @@ def test_get_backend_caches_per_table_and_name():
     first = get_backend(table, "numpy")
     assert get_backend(table, "numpy") is first
     assert get_backend(table, "python") is not first
-    assert get_backend(table, "bitpacked") is not first
+    with pytest.raises(ValueError, match="unknown backend"):
+        get_backend(table, "bitpacked")
     # an instance already bound to the table passes through unchanged
     assert get_backend(table, first) is first
     # a foreign instance is re-resolved by name onto the new table

@@ -1,11 +1,8 @@
 """Tests for the vectorized distance matrix fast path.
 
-These exercise the backend layer's cached ``distance_matrix()`` —
-the supported spelling — plus one test pinning the deprecation
-contract of the old ``fast_pairwise_distance_matrix`` shim.
+These exercise the backend layer's cached ``distance_matrix()``.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,11 +56,3 @@ def test_returns_plain_python_ints():
     assert type(matrix) is list
     assert type(matrix[0][1]) is int
 
-
-def test_deprecated_shim_warns_and_still_works():
-    from repro.core.distance import fast_pairwise_distance_matrix
-
-    table = Table([(0, 0), (0, 1)])
-    with pytest.deprecated_call():
-        matrix = fast_pairwise_distance_matrix(table)
-    assert matrix == pairwise_distance_matrix(table)

@@ -214,8 +214,6 @@ class TestEveryAlgorithmMeetsK:
         for info in registry.all():
             if not info.is_applicable(n, 3, 2, k):
                 continue
-            if info.name == "pair_matching" and k != 2:
-                continue  # pairs-only algorithm, k = 2 by construction
             result = info.make().anonymize(table, k)
             release = result.anonymized
             if info.name in ("ldiverse", "tclose"):

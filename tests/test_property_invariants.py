@@ -187,9 +187,10 @@ def test_adding_duplicate_rows_never_raises_opt_per_existing_row(seed):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(2, 4))
 def test_cover_algorithms_backend_invariant(seed, k):
-    """python/numpy/bitpacked produce byte-identical releases.
+    """The python and numpy backends produce byte-identical releases.
 
-    The backends are bit-identical on every distance primitive and the
+    The backends are bit-identical on every distance primitive (whether
+    or not the numpy kernel view packs the table's binary columns) and the
     cover algorithms break ties deterministically, so the chosen backend
     must never change a single released cell.
     """
