@@ -1,7 +1,7 @@
 # Developer shortcuts.  The offline CI recipe is exactly:
 #   pip install -e . && pytest tests/ && pytest benchmarks/ --benchmark-only
 
-.PHONY: install test lint bench bench-compare serve route examples sweep all
+.PHONY: install test lint bench bench-compare solve-steps serve route examples sweep all
 
 # worker processes for `make sweep` (kanon experiment --jobs)
 JOBS ?= 2
@@ -59,6 +59,11 @@ bench-compare:
 		--baseline benchmarks/baselines/BENCH_e24.json
 	python benchmarks/compare_bench.py bench-e25.json \
 		--baseline benchmarks/baselines/BENCH_e25.json
+
+# per-step milliseconds of the Theorem 4.2 solve on the solve-cold
+# shapes (fails if the replayed release differs from the library's)
+solve-steps:
+	python benchmarks/solve_steps.py
 
 # anonymization service with a persistent on-disk solution cache
 serve:

@@ -20,13 +20,14 @@ The greedy loop uses lazy evaluation (a priority queue of stale ratios,
 re-evaluated on pop), exploiting that ``r(S) = d(S)/|S \\ D|`` only grows
 as coverage ``D`` grows — the practical speedup the paper anticipates
 ("we are confident that this time bound can be significantly improved
-using appropriate data structures").  A candidate ball enters the heap
-with only its size, so candidates come from per-center radius counts
+using appropriate data structures").  A candidate ball is keyed by its
+size alone, so candidates come from per-center radius counts
 (:meth:`~repro.core.backend.DistanceBackend.ball_candidates`): on the
-numpy backends one ``bincount`` over the cached distance matrix, a
-``cumsum`` and a ``nonzero``, with no neighbour order sorted.  All
-candidates go into one list that is heapified once, and a popped ball
-reads its members back from one matrix row
+numpy backend one ``bincount`` over the cached distance matrix, a
+``cumsum`` and a ``nonzero``, with no neighbour order sorted.  The
+candidates are sorted once by the heap key (one ``lexsort``) and
+consumed as a stream; only re-queued balls enter a heap, and a popped
+ball reads its members back from one matrix row
 (:meth:`~repro.core.backend.DistanceBackend.neighbors_within`).  The split of
 oversized groups and the diameter statistics read the same matrix.  Heap
 keys are float ratios ``d / p``, which order exactly like
@@ -37,7 +38,7 @@ keys are float ratios ``d / p``, which order exactly like
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from operator import truediv
 
@@ -61,6 +62,36 @@ def ratio_key(m: int, n: int) -> Callable[[int, int], float | Fraction]:
     cells, so the ``Fraction`` branch is only a guard.
     """
     return truediv if m * n * n < 2 ** 52 else Fraction
+
+
+def _candidate_stream(m: int, ratio, centers, radii, sizes) -> Iterator[tuple]:
+    """The ball candidates as greedy heap entries ``(ratio, diameter
+    estimate, center, size, radius)``, in ascending order.
+
+    *centers*, *radii* and *sizes* are arrays in (center, size) order,
+    which is the key's tie-break order, so float ratios (see
+    :func:`ratio_key`) need one stable ``lexsort`` on ``(ratio, diameter
+    estimate)``; ``Fraction`` ratios sort in Python.  Entries are
+    converted to Python tuples a chunk at a time as they are consumed.
+    """
+    import numpy as np
+
+    d_est = np.minimum(2 * radii, m)
+    if ratio is truediv:
+        ratios = d_est / sizes
+        order = np.lexsort((d_est, ratios))
+    else:
+        ratios = np.array(list(map(ratio, d_est.tolist(), sizes.tolist())),
+                          dtype=object)
+        order = sorted(range(len(ratios)),
+                       key=lambda i: (ratios[i], d_est[i]))
+    columns = (ratios, d_est, centers, sizes, radii)
+    start, chunk = 0, 256
+    while start < len(order):
+        taken = order[start:start + chunk]
+        yield from zip(*(column[taken].tolist() for column in columns))
+        start += chunk
+        chunk *= 2
 
 
 def build_ball_cover(
@@ -94,17 +125,15 @@ def build_ball_cover(
 
     metric = get_backend(table, backend)
     ratio = ratio_key(m, n)
-
-    # One candidate per (center, realized radius) ball with at least k
-    # members.  Every (center, size) pair is unique, so the heap's pop
-    # order does not depend on how it was built; the last field carries
-    # the radius a popped ball's members are read back at.
-    # heap entry: (ratio, diameter estimate, center, size, radius)
-    heap: list[tuple[float | Fraction, int, int, int, int]] = []
-    for c, r, p in zip(*metric.ball_candidates(k)):
-        d_est = min(2 * r, m)
-        heap.append((ratio(d_est, p), d_est, c, p, r))
-    heapq.heapify(heap)
+    # Every candidate in heap-key order (ratio, diameter estimate, center,
+    # size), plus the radius a popped ball's members are read back at;
+    # tuples are built only as the stream is consumed.  Balls re-queued
+    # with a larger ratio go to a side heap, and a pop takes the smaller
+    # of the two heads.  Every (center, size) pair is unique, so these
+    # are exactly the pops of one heap holding every candidate.
+    stream = _candidate_stream(m, ratio, *metric.ball_candidates(k))
+    upcoming = next(stream, None)
+    requeued: list[tuple[float | Fraction, int, int, int, int]] = []
 
     # exact diameters of popped balls, kept out of the backend's memo:
     # that memo lives as long as the table, and most popped balls are
@@ -115,7 +144,11 @@ def build_ball_cover(
     remaining = n
     chosen: list[frozenset[int]] = []
     while remaining:
-        _, d_est, c, p, r = heapq.heappop(heap)
+        if requeued and (upcoming is None or requeued[0] < upcoming):
+            _, d_est, c, p, r = heapq.heappop(requeued)
+        else:
+            _, d_est, c, p, r = upcoming
+            upcoming = next(stream, None)
         members = metric.neighbors_within(c, r)
         newly = sum(1 for v in members if uncovered[v])
         if newly == 0:
@@ -125,9 +158,11 @@ def build_ball_cover(
             if d_est is None:
                 d_est = metric._compute_diameter(tuple(members)) if p > 1 else 0
                 exact_diams[(c, p)] = d_est
-        current = ratio(d_est, newly)
-        if heap and (current, d_est, c, p) > heap[0][:4]:
-            heapq.heappush(heap, (current, d_est, c, p, r))
+        entry = (ratio(d_est, newly), d_est, c, p, r)
+        if (requeued and entry > requeued[0]) or (
+            upcoming is not None and entry > upcoming
+        ):
+            heapq.heappush(requeued, entry)
             continue
         chosen.append(frozenset(members))
         for v in members:

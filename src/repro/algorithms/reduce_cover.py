@@ -138,7 +138,8 @@ class ReduceCoverAnonymizer(Anonymizer):
             # candidate: candidates come in (center, radius) order
             balls: set[frozenset[int]] = set()
             previous = -1
-            for c, r, _ in zip(*backend.ball_candidates(k)):
+            centers, radii, _ = backend.ball_candidates(k)
+            for c, r in zip(centers.tolist(), radii.tolist()):
                 if c != previous:
                     balls.add(frozenset(backend.neighbors_within(c, r)))
                     previous = c

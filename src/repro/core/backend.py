@@ -35,7 +35,7 @@ gives those primitives a single pluggable home:
 
 Backend selection: the ``REPRO_BACKEND`` environment variable
 (``python`` or ``numpy``) picks the default for the whole process;
-unset, the numpy backend is used whenever numpy imports.
+unset, the numpy backend is used.
 Every :class:`~repro.algorithms.base.Anonymizer` also accepts an
 explicit ``backend=`` argument (a name or a backend instance).
 
@@ -49,7 +49,7 @@ import abc
 import os
 import weakref
 from bisect import bisect_right
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable
 from typing import Any
 
 from repro.core.alphabet import STAR
@@ -67,40 +67,22 @@ Row = tuple[Hashable, ...]
 _CHUNK_CELLS = 4_000_000
 
 
-def numpy_available() -> bool:
-    """True iff numpy imports in this environment."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy ships with the package
-        return False
-    return True
-
-
 def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`make_backend` here and now."""
-    names = ["python"]
-    if numpy_available():
-        names.append("numpy")
-    return tuple(names)
+    """Names accepted by :func:`make_backend`."""
+    return tuple(_BACKEND_CLASSES)
 
 
 def default_backend_name() -> str:
-    """The process-wide default: ``$REPRO_BACKEND``, else numpy if present.
+    """The process-wide default: ``$REPRO_BACKEND``, else numpy.
 
     :raises ValueError: if ``REPRO_BACKEND`` names an unknown backend.
     """
     name = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    if name:
-        if name not in ("python", "numpy"):
-            raise ValueError(
-                f"REPRO_BACKEND={name!r}: expected 'python' or 'numpy'"
-            )
-        if name != "python" and not numpy_available():  # pragma: no cover
-            raise ValueError(
-                f"REPRO_BACKEND={name} but numpy is not importable"
-            )
-        return name
-    return "numpy" if numpy_available() else "python"
+    if name and name not in ("python", "numpy"):
+        raise ValueError(
+            f"REPRO_BACKEND={name!r}: expected 'python' or 'numpy'"
+        )
+    return name or "numpy"
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +484,22 @@ class DistanceBackend(abc.ABC):
         """Un-memoized distances; subclasses override with a vector pass."""
         return [self.distance(center, i) for i in indices]
 
-    def ball_candidates(self, k: int) -> tuple[list[int], list[int], list[int]]:
+    def _distances_array(self, center: int, indices: Any = None) -> Any:
+        """:meth:`distances_from` as a numpy integer array.
+
+        *indices* is an index array (all rows if None).  The reference
+        converts :meth:`distances_from`'s list; the numpy backend
+        computes the array in one vector pass.
+        """
+        import numpy as np
+
+        if indices is None:
+            indices = range(self.table.n_rows)
+        else:
+            indices = np.asarray(indices).tolist()
+        return np.asarray(self.distances_from(center, indices), dtype=np.intp)
+
+    def ball_candidates(self, k: int) -> tuple[Any, Any, Any]:
         """``(centers, radii, sizes)``: every ball with at least *k* members.
 
         One entry per center ``c`` and *realized* radius ``r`` (the
@@ -510,6 +507,7 @@ class DistanceBackend(abc.ABC):
         (center, radius) order.  Ball membership only changes at
         realized radii, so these are exactly Theorem 4.2's candidate
         balls.  Only sizes are needed, so no neighbour order is built.
+        The three columns are ``int64`` arrays.
 
         :raises ValueError: if *k* is not positive.
         """
@@ -517,11 +515,11 @@ class DistanceBackend(abc.ABC):
             raise ValueError("k must be positive")
         return self._compute_ball_candidates(k)
 
-    def _compute_ball_candidates(
-        self, k: int
-    ) -> tuple[list[int], list[int], list[int]]:
+    def _compute_ball_candidates(self, k: int) -> tuple[Any, Any, Any]:
         """The reference: one sorted distance row per center and one
         ``bisect`` per realized radius."""
+        import numpy as np
+
         n = self.table.n_rows
         centers: list[int] = []
         radii: list[int] = []
@@ -536,7 +534,11 @@ class DistanceBackend(abc.ABC):
                 radii.append(radius)
                 sizes.append(p)
                 p += 1
-        return centers, radii, sizes
+        return (
+            np.array(centers, dtype=np.int64),
+            np.array(radii, dtype=np.int64),
+            np.array(sizes, dtype=np.int64),
+        )
 
     def neighbors_within(self, center: int, r: int) -> list[int]:
         """Rows within distance *r* of row *center* (a ball's members).
@@ -556,18 +558,28 @@ class DistanceBackend(abc.ABC):
 
     def diameter(self, indices: Iterable[int]) -> int:
         """``d(S)`` for a group of row indices (memoized)."""
-        key = frozenset(indices)
-        cached = self._diameter_memo.get(key)
-        if cached is not None:
-            self.counters["memo_hits"] += 1
-            return cached
-        if len(key) < 2:
-            value = 0
-        else:
-            value = self._compute_diameter(tuple(sorted(key)))
-            self.counters["full_group_scans"] += 1
-        self._diameter_memo[key] = value
-        return value
+        return self.diameters([indices])[0]
+
+    def diameters(self, groups: Iterable[Iterable[int]]) -> list[int]:
+        """``d(S)`` of each group, in order (memoized per group).
+
+        The groups not memoized yet go to one :meth:`_compute_diameters`
+        call, so a backend can reduce them together.
+        """
+        keys = [frozenset(group) for group in groups]
+        memo = self._diameter_memo
+        missing = [key for key in dict.fromkeys(keys) if key not in memo]
+        self.counters["memo_hits"] += len(keys) - len(missing)
+        scanned = [key for key in missing if len(key) >= 2]
+        values = self._compute_diameters([tuple(sorted(key)) for key in scanned])
+        memo.update(dict.fromkeys(missing, 0))  # groups of under two rows
+        memo.update(zip(scanned, values))
+        self.counters["full_group_scans"] += len(scanned)
+        return [memo[key] for key in keys]
+
+    def _compute_diameters(self, groups: list[tuple[int, ...]]) -> list[int]:
+        """Diameters of (>= 2 member) groups; one at a time by default."""
+        return [self._compute_diameter(group) for group in groups]
 
     def disagreeing_coordinates(self, indices: Iterable[int]) -> list[int]:
         """Coordinates the group disagrees on (memoized)."""
@@ -599,6 +611,33 @@ class DistanceBackend(abc.ABC):
         return tuple(
             STAR if j in starred else value for j, value in enumerate(first)
         )
+
+    def starred_cells(
+        self, groups: Iterable[Iterable[int]]
+    ) -> dict[int, frozenset[int]]:
+        """Row -> the columns a partition's suppression stars in that row.
+
+        Each group is released as its :meth:`group_image`: a row is
+        starred on every column the group disagrees on, unless its cell
+        there is ``STAR`` already, and on any other column where the
+        image's value ``!=`` the cell (a NaN fails that even against
+        itself).  Rows starred nowhere are left out.
+        """
+        starred: dict[int, frozenset[int]] = {}
+        rows = self.table.rows
+        for group in groups:
+            # a cell differs from STAR unless it is STAR, so starred columns
+            # take an identity test
+            image = self.group_image(group)
+            stars = [j for j, value in enumerate(image) if value is STAR]
+            kept = [(j, value) for j, value in enumerate(image) if value is not STAR]
+            for i in group:
+                row = rows[i]
+                coords = {j for j in stars if row[j] is not STAR}
+                coords.update(j for j, value in kept if value != row[j])
+                if coords:
+                    starred[i] = frozenset(coords)
+        return starred
 
     def radius_from(self, center: int, indices: Iterable[int]) -> int:
         """Max distance from row *center* to any row in *indices*."""
@@ -719,9 +758,7 @@ class NumpyBackend(DistanceBackend):
         row = self._distances_array(center).tolist()
         return [row[i] for i in indices]
 
-    def _compute_ball_candidates(
-        self, k: int
-    ) -> tuple[list[int], list[int], list[int]]:
+    def _compute_ball_candidates(self, k: int) -> tuple[Any, Any, Any]:
         """Per-center radius counts over the cached distance matrix.
 
         One ``bincount`` of ``row * width + distance`` counts each
@@ -746,7 +783,9 @@ class NumpyBackend(DistanceBackend):
         sizes = counts.cumsum(axis=1)
         centers, radii = np.nonzero((counts > 0) & (sizes >= k))
         return (
-            centers.tolist(), radii.tolist(), sizes[centers, radii].tolist()
+            centers.astype(np.int64, copy=False),
+            radii.astype(np.int64, copy=False),
+            sizes[centers, radii].astype(np.int64, copy=False),
         )
 
     def neighbors_within(self, center: int, r: int) -> list[int]:
@@ -798,6 +837,8 @@ class NumpyBackend(DistanceBackend):
                 for col in wide:
                     rows += col[start:stop, None] != col
                 self.counters["matrix_rows"] += stop - start
+            # shared by every row, ball and diameter query: never written
+            matrix.setflags(write=False)
             self._np_matrix = matrix
         return self._np_matrix
 
@@ -809,6 +850,8 @@ class NumpyBackend(DistanceBackend):
 
         idx = np.asarray(indices)
         if self._np_matrix is not None:
+            if len(indices) == self.table.n_rows:  # the whole table
+                return int(self._np_matrix.max())
             return int(self._np_matrix[np.ix_(idx, idx)].max())
         lanes, wide = self.encoded.kernel()
         sub_lanes, sub_wide = lanes[:, idx], wide[:, idx]
@@ -829,6 +872,104 @@ class NumpyBackend(DistanceBackend):
             best = max(best, int(diffs.max()))
         return best
 
+    def _compute_diameters(self, groups: list[tuple[int, ...]]) -> list[int]:
+        """One gather over the cached matrix per block of same-size groups.
+
+        ``s``-member groups stacked into a ``(g, s)`` index array read
+        their pairwise distances as one ``(g, s, s)`` gather; blocks are
+        capped at ``_CHUNK_CELLS`` cells, and a group alone in its block
+        (say the whole table) goes to :meth:`_compute_diameter`.
+        """
+        matrix = self._np_matrix
+        if matrix is None:
+            return super()._compute_diameters(groups)
+        import numpy as np
+
+        by_size: dict[int, list[int]] = {}
+        for position, group in enumerate(groups):
+            by_size.setdefault(len(group), []).append(position)
+        values = [0] * len(groups)
+        for size, positions in by_size.items():
+            block = max(1, _CHUNK_CELLS // (size * size))
+            for start in range(0, len(positions), block):
+                chunk = positions[start:start + block]
+                if len(chunk) == 1:
+                    values[chunk[0]] = self._compute_diameter(groups[chunk[0]])
+                    continue
+                idx = np.array([groups[p] for p in chunk], dtype=np.intp)
+                best = matrix[idx[:, :, None], idx[:, None, :]].max(axis=(1, 2))
+                for p, value in zip(chunk, best.tolist()):
+                    values[p] = value
+        return values
+
+    def starred_cells(
+        self, groups: Iterable[Iterable[int]]
+    ) -> dict[int, frozenset[int]]:
+        """One pass over the row-major codes instead of a per-cell loop.
+
+        Rows are gathered group by group; a group disagrees on a column
+        iff some member's code there differs from its min-index row's
+        (one ``logical_or.reduceat``), which is exactly the
+        :meth:`group_image`'s ``STAR`` set, and its members share that
+        set.  Two kinds of cell make a row's set its own: a disagreeing
+        cell holding ``STAR``'s code is not starred, and an agreeing
+        cell, which has the image's code, is starred only if the image's
+        value is unequal to it, which needs a value unequal to itself (a
+        NaN): columns holding one run the reference's per-cell ``!=``.
+        """
+        import numpy as np
+
+        listed = [list(group) for group in groups]
+        encoded = self.encoded
+        if not listed or encoded.degree == 0:
+            return {}
+        sizes = np.array([len(group) for group in listed], dtype=np.intp)
+        if not sizes.all():
+            raise ValueError("a group image needs at least one vector")
+        starts = np.zeros(len(listed), dtype=np.intp)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        members = np.fromiter(
+            (i for group in listed for i in group), dtype=np.intp,
+            count=int(sizes.sum()),
+        )
+        labels = np.repeat(np.arange(len(listed)), sizes)
+        first = np.minimum.reduceat(members, starts)
+        codes = encoded.codes[members]
+        disagree = np.logical_or.reduceat(
+            codes != encoded.codes[first][labels], starts, axis=0
+        )
+        shared = _true_columns(disagree)
+        starred = {
+            i: shared[g]
+            for i, g in zip(members.tolist(), labels.tolist()) if shared[g]
+        }
+
+        mask = None  # the members' starred cells, once some row differs
+        rows = self.table.rows
+        for j, decoder in enumerate(encoded.decoders):
+            star = next((c for c, v in enumerate(decoder) if v is STAR), None)
+            odd = any(value != value for value in decoder)
+            if star is None and not odd:
+                continue
+            if mask is None:
+                mask = disagree[labels]
+            if star is not None:
+                mask[:, j] &= codes[:, j] != star
+            if odd:
+                for g in np.flatnonzero(~disagree[:, j]).tolist():
+                    value = rows[first[g]][j]
+                    for at in range(starts[g], starts[g] + sizes[g]):
+                        mask[at, j] = value != rows[members[at]][j]
+        if mask is not None:
+            own = np.flatnonzero((mask != disagree[labels]).any(axis=1))
+            for at, coords in zip(own.tolist(), _true_columns(mask[own])):
+                i = int(members[at])
+                if coords:
+                    starred[i] = coords
+                else:
+                    del starred[i]
+        return starred
+
     def _compute_disagreeing(self, indices: tuple[int, ...]) -> tuple[int, ...]:
         import numpy as np
 
@@ -838,6 +979,19 @@ class NumpyBackend(DistanceBackend):
         idx = np.asarray(indices)
         mismatched = (codes[idx[1:]] != codes[idx[0]]).any(axis=0)
         return tuple(int(j) for j in np.flatnonzero(mismatched))
+
+
+def _true_columns(mask: Any) -> list[frozenset[int]]:
+    """Per row of a boolean matrix, the set of its ``True`` columns.
+
+    One ``nonzero``: it is row-major, so each row's columns are one run.
+    """
+    import numpy as np
+
+    at, columns = np.nonzero(mask)
+    bounds = np.searchsorted(at, np.arange(len(mask) + 1)).tolist()
+    columns = columns.tolist()
+    return [frozenset(columns[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _distance_dtype(m: int) -> Any:
@@ -887,10 +1041,6 @@ def make_backend(table, name: str | None = None) -> DistanceBackend:
             f"unknown backend {resolved!r}; expected one of "
             f"{sorted(_BACKEND_CLASSES)}"
         ) from None
-    if resolved != "python" and not numpy_available():  # pragma: no cover
-        raise ValueError(
-            f"{resolved} backend requested but numpy is not importable"
-        )
     return cls(table)
 
 

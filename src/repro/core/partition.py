@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.alphabet import STAR
 from repro.core.suppressor import Suppressor
 from repro.core.table import Table
 
@@ -115,8 +114,7 @@ class Cover:
         the k-minimum diameter sum problem."""
         from repro.core.backend import get_backend
 
-        resolved = get_backend(table, backend)
-        return sum(resolved.diameter(group) for group in self._groups)
+        return sum(get_backend(table, backend).diameters(self._groups))
 
     def anon_cost(self, table: Table, backend=None) -> int:
         """Total stars needed to anonymize each group to its common image.
@@ -191,22 +189,7 @@ def anonymize_partition(
 
     if not partition.is_partition():
         raise ValueError("cannot anonymize from an overlapping cover; Reduce first")
-    resolved = get_backend(table, backend)
-    starred: dict[int, set[int]] = {}
-    rows = table.rows
-    for group in partition.groups:
-        # a cell differs from STAR unless it is STAR, so starred columns
-        # take an identity test; the others keep ``value != cell``, which
-        # a NaN cell fails even against itself
-        image = resolved.group_image(group)
-        stars = [j for j, value in enumerate(image) if value is STAR]
-        kept = [(j, value) for j, value in enumerate(image) if value is not STAR]
-        for i in group:
-            row = rows[i]
-            coords = {j for j in stars if row[j] is not STAR}
-            coords.update(j for j, value in kept if value != row[j])
-            if coords:
-                starred[i] = coords
+    starred = get_backend(table, backend).starred_cells(partition.groups)
     suppressor = Suppressor(starred, n_rows=table.n_rows, degree=table.degree)
     return suppressor.apply(table), suppressor
 
@@ -220,10 +203,13 @@ def split_into_small_groups(
     more members can be split into two groups of at least k each, and the
     split "requires no more *s to k-anonymize it than the former one".
     Splits peel off the k members closest to an arbitrary anchor, which
-    never increases (and usually decreases) total ANON cost.  Each peel
-    fetches the anchor's distances to the remaining members in one
-    vector call and sorts by them stably, so ties keep their order.
+    never increases (and usually decreases) total ANON cost.  Members
+    live in an index array: each peel fetches the anchor's distances to
+    the remaining members in one vector call (``_distances_array``) and
+    reorders them by one stable ``argsort``, so ties keep their order.
     """
+    import numpy as np
+
     from repro.core.backend import get_backend
 
     if k < 1:
@@ -231,16 +217,15 @@ def split_into_small_groups(
     resolved = get_backend(table, backend)
     result: list[Group] = []
     for raw in groups:
-        members = sorted(raw)
+        members = np.array(sorted(raw), dtype=np.intp)
         if len(members) < k:
             raise ValueError(f"group of size {len(members)} smaller than k={k}")
         while len(members) >= 2 * k:
-            dists = resolved.distances_from(members[0], members)
-            ranked = sorted(range(len(members)), key=dists.__getitem__)
-            members = [members[j] for j in ranked]
-            result.append(frozenset(members[:k]))
+            dists = resolved._distances_array(int(members[0]), members)
+            members = members[np.argsort(dists, kind="stable")]
+            result.append(frozenset(members[:k].tolist()))
             members = members[k:]
-        result.append(frozenset(members))
+        result.append(frozenset(members.tolist()))
     return result
 
 

@@ -39,18 +39,28 @@ class Suppressor:
     ):
         if n_rows < 0 or degree < 0:
             raise ValueError("n_rows and degree must be non-negative")
+        # each column maps to itself, so a coordinate equal to one (1.0,
+        # True, numpy's int64(1)) is stored as that int and any other
+        # coordinate fails the lookup
+        column_of = {j: j for j in range(degree)}
+        known: dict[frozenset, frozenset[int]] = {}  # rows often share a set
         cleaned: dict[int, frozenset[int]] = {}
         for i, coords in starred.items():
             if not 0 <= i < n_rows:
                 raise ValueError(f"row index {i} out of range for {n_rows} rows")
             coord_set = frozenset(coords)
-            for j in coord_set:
-                if not 0 <= j < degree:
+            clean = known.get(coord_set)
+            if clean is None:
+                try:
+                    clean = frozenset(map(column_of.__getitem__, coord_set))
+                except KeyError as error:
                     raise ValueError(
-                        f"coordinate {j} out of range for degree {degree}"
-                    )
-            if coord_set:
-                cleaned[i] = coord_set
+                        f"coordinate {error.args[0]!r} out of range for "
+                        f"degree {degree}"
+                    ) from None
+                known[coord_set] = clean
+            if clean:
+                cleaned[i] = clean
         self._starred = cleaned
         self._n_rows = n_rows
         self._degree = degree
@@ -148,15 +158,12 @@ class Suppressor:
         """Produce the anonymized table ``t(V)``."""
         if table.n_rows != self._n_rows or table.degree != self._degree:
             raise ValueError("suppressor shape does not match the table")
-        new_rows = []
-        for i, row in enumerate(table.rows):
-            coords = self._starred.get(i)
-            if not coords:
-                new_rows.append(row)
-            else:
-                new_rows.append(
-                    tuple(STAR if j in coords else v for j, v in enumerate(row))
-                )
+        new_rows = list(table.rows)
+        for i, coords in self._starred.items():
+            row = list(new_rows[i])
+            for j in coords:
+                row[j] = STAR
+            new_rows[i] = tuple(row)
         return table.with_rows(new_rows)
 
     # ------------------------------------------------------------------

@@ -36,7 +36,6 @@ from collections.abc import Mapping, Sequence
 from threading import Lock
 from typing import Any
 
-from repro.core.anonymity import equivalence_classes
 from repro.core.table import Table
 
 #: Mechanisms understood by :func:`noisy_histogram`.
@@ -149,12 +148,12 @@ def noisy_class_histogram(
     alongside the suppressed table, this gives callers calibrated
     aggregate statistics without further privacy loss beyond ε.
     """
-    classes = equivalence_classes(table)
+    # each distinct record is one class, counted in one dict pass
+    records: dict[tuple, int] = {}
+    for row in table.rows:
+        records[row] = records.get(row, 0) + 1
     # STAR reprs as "*", so suppressed cells serialize naturally.
-    counts = {
-        "|".join(map(str, key)): len(indices)
-        for key, indices in classes.items()
-    }
+    counts = {"|".join(map(str, row)): count for row, count in records.items()}
     noisy = noisy_histogram(
         counts, epsilon, mechanism=mechanism, seed=seed
     )

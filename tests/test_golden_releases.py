@@ -5,8 +5,11 @@ change in code every backend shares — the ball cover, Reduce, the group
 split, a seed scan — moves all of them together and still passes.  These
 hashes pin the releases themselves.  They were recorded from the
 pre-vectorisation solve path (per-element ``sorted`` neighbour orders,
-scalar-distance split and seed scans, ``Fraction`` heap keys); any
-change to a solver's output fails here, on every backend.
+scalar-distance split and seed scans, ``Fraction`` heap keys); the
+two 300x6 entries were recorded later, before the greedy's candidates
+became one sorted stream and the split and suppression moved onto
+index and code arrays.  Any change to a solver's output fails here, on
+every backend.
 
 Regenerate only for an intended change of release, never to make a
 refactor pass: ``python -m tests.test_golden_releases`` prints the
@@ -20,10 +23,12 @@ import hashlib
 import pytest
 
 from repro import registry
+from repro.algorithms.center_cover import CenterCoverAnonymizer
 from repro.core.backend import available_backends
 from repro.workloads import census_table, quasi_identifiers, uniform_table
 
-#: (id, algorithm, table factory, k, sha256 of the release CSV)
+#: (id, algorithm, table factory, k, sha256 of the release CSV); the
+#: algorithm is a registry name or a factory of a configured instance
 GOLDEN = [
     ("center_cover-census-300",
      "center_cover", lambda: quasi_identifiers(census_table(300, seed=1)), 5,
@@ -35,6 +40,15 @@ GOLDEN = [
      "center_cover",
      lambda: uniform_table(800, 128, alphabet_size=2, seed=3), 4,
      "e989eabcbad1e9f80cd77e2fab89b1941143ffdfbd61c99e853b3883f735a8f1"),
+    # the only golden instance whose greedy picks more than one ball
+    # (43 balls, 1783 re-queues), in both diameter modes
+    ("center_cover-binary-300x6",
+     "center_cover", lambda: uniform_table(300, 6, alphabet_size=2, seed=1), 4,
+     "18c66f4888f25d987b9d7441b641cf45b39243232db4758cda42a12887d15d85"),
+    ("center_cover-exact-binary-300x6",
+     lambda: CenterCoverAnonymizer(diameter_mode="exact"),
+     lambda: uniform_table(300, 6, alphabet_size=2, seed=1), 4,
+     "18c66f4888f25d987b9d7441b641cf45b39243232db4758cda42a12887d15d85"),
     ("reduce_cover-census-300",
      "reduce_cover", lambda: quasi_identifiers(census_table(300, seed=4)), 4,
      "e9d436a2045efe8ab79a7bafe0723250d1f099e710f27605adf01b6aaa23e76f"),
@@ -57,16 +71,21 @@ GOLDEN = [
      "c0061f21b8017300eff46ecd9e255097791a45159f264279dc0fc0de842d0918"),
 ]
 
-#: instances cheap enough for the pure-Python backend as well
+#: instances cheap enough for the pure-Python backend as well (its
+#: exact-mode diameters take seconds on the 300x6 instance)
 _PYTHON_OK = {
-    "center_cover-census-300", "reduce_cover-census-300",
+    "center_cover-census-300", "center_cover-binary-300x6",
+    "reduce_cover-census-300",
     "kmember-census-120", "kmember-binary-90x24", "mst_forest-census-150",
     "topdown_greedy-census-150", "topdown_greedy-binary-120x32",
 }
 
 
-def release_digest(algorithm: str, table, k: int, backend: str) -> str:
-    result = registry.create(algorithm).anonymize(table, k, backend=backend)
+def release_digest(algorithm, table, k: int, backend: str) -> str:
+    anonymizer = (
+        registry.create(algorithm) if isinstance(algorithm, str) else algorithm()
+    )
+    result = anonymizer.anonymize(table, k, backend=backend)
     return hashlib.sha256(result.anonymized.to_csv().encode()).hexdigest()
 
 

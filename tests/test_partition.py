@@ -224,15 +224,20 @@ class TestPartitionFromEquivalence:
 
 # -- suppression exactness ------------------------------------------------
 
-#: one NaN object shared by every drawn cell: equal to itself by identity
-#: (so encodings give it one code) but ``nan != nan`` in a direct compare
+#: two distinct NaN objects, each shared by every cell that draws it:
+#: equal to itself by identity (so encodings give it one code) but
+#: ``nan != nan`` in a direct compare, and unequal to the other NaN
 _NAN = float("nan")
-_CELLS = st.sampled_from([STAR, 1, True, 1.0, "1", "a", _NAN])
+_OTHER_NAN = float("nan")
+_CELLS = st.sampled_from(
+    [STAR, 1, True, 1.0, 0.0, -0.0, "1", "a", _NAN, _OTHER_NAN]
+)
 
 
 def _per_cell_anonymize_partition(table, partition, backend=None):
     """The per-cell suppression loop that ``anonymize_partition`` replaced,
-    kept verbatim as the reference."""
+    and the per-cell rewrite ``Suppressor.apply`` replaced, kept verbatim
+    as the reference."""
     from repro.core.backend import get_backend
     from repro.core.suppressor import Suppressor
 
@@ -251,15 +256,19 @@ def _per_cell_anonymize_partition(table, partition, backend=None):
             if coords:
                 starred[i] = coords
     suppressor = Suppressor(starred, n_rows=table.n_rows, degree=table.degree)
-    return suppressor.apply(table), suppressor
+    released = table.with_rows(
+        tuple(STAR if j in starred.get(i, ()) else v for j, v in enumerate(row))
+        for i, row in enumerate(rows)
+    )
+    return released, suppressor
 
 
 @st.composite
 def _tables_with_partition(draw):
-    m = draw(st.integers(0, 4))
-    n = draw(st.integers(1, 9))
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(1, 12))
     table = Table([tuple(draw(_CELLS) for _ in range(m)) for _ in range(n)])
-    labels = [draw(st.integers(0, 2)) for _ in range(n)]
+    labels = [draw(st.integers(0, 3)) for _ in range(n)]
     groups = [
         [i for i in range(n) if labels[i] == label] for label in set(labels)
     ]

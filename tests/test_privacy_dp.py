@@ -119,6 +119,30 @@ class TestNoisyHistogram:
         assert release["scale"] == 1.0
         assert release == noisy_class_histogram(table, 1.0, seed=0)
 
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    @pytest.mark.parametrize("epsilon", [0.5, 2, 3.7])
+    def test_class_histogram_is_the_rounded_noisy_histogram(
+        self, rng, mechanism, epsilon
+    ):
+        """The release is ``noisy_histogram`` over the equivalence-class
+        counts, rounded to 6 digits, in the same bin order."""
+        from repro.core.anonymity import equivalence_classes
+
+        table = random_table(rng, 30, 3, 2)
+        counts = {
+            "|".join(map(str, key)): len(indices)
+            for key, indices in equivalence_classes(table).items()
+        }
+        for seed in (0, 7):
+            noisy = noisy_histogram(counts, epsilon, mechanism=mechanism,
+                                    seed=seed)
+            release = noisy_class_histogram(table, epsilon,
+                                            mechanism=mechanism, seed=seed)
+            assert release["classes"] == {
+                bin_: round(value, 6) for bin_, value in noisy.items()
+            }
+            assert list(release["classes"]) == list(noisy)
+
 
 charge_sequences = st.lists(
     st.tuples(st.sampled_from(["a", "b", "c"]), st.floats(0.01, 0.8)),

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cli import main
+from repro.core.alphabet import STAR
 from repro.core.suppressor import Suppressor
+from repro.core.table import Table
 from repro.hardness.sat import Cnf, random_three_cnf, solve_sat
 
 
@@ -58,6 +60,17 @@ class TestSuppressorJson:
     def test_empty_suppressor(self):
         s = Suppressor({}, n_rows=3, degree=2)
         assert Suppressor.from_json(s.to_json()).total_stars() == 0
+
+    def test_float_coordinates_apply_as_ints(self):
+        s = Suppressor.from_json(
+            '{"n_rows": 1, "degree": 2, "starred": {"0": [1.0]}}'
+        )
+        assert s == Suppressor({0: [1]}, n_rows=1, degree=2)
+        assert s.apply(Table([("a", "b")])).rows == (("a", STAR),)
+        with pytest.raises(ValueError, match="coordinate"):
+            Suppressor.from_json(
+                '{"n_rows": 1, "degree": 2, "starred": {"0": [0.5]}}'
+            )
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError, match="malformed"):

@@ -21,6 +21,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="coordinate"):
             Suppressor({0: [7]}, n_rows=2, degree=3)
 
+    def test_integral_coordinates_are_stored_as_ints(self, table):
+        s = Suppressor({0: [1.0, True], 1: [2.0]}, n_rows=2, degree=3)
+        assert s == Suppressor({0: [1], 1: [2]}, n_rows=2, degree=3)
+        assert all(
+            type(j) is int
+            for i in range(2) for j in s.starred_coordinates(i)
+        )
+        assert s.apply(table).rows == ((1, STAR, 3), (4, 5, STAR))
+
+    @pytest.mark.parametrize("bad", [1.5, -1, 3, float("nan"), "1"])
+    def test_rejects_other_coordinates(self, bad):
+        with pytest.raises(ValueError, match="coordinate"):
+            Suppressor({0: [0, bad]}, n_rows=2, degree=3)
+
     def test_negative_shape_rejected(self):
         with pytest.raises(ValueError):
             Suppressor({}, n_rows=-1, degree=2)

@@ -2,7 +2,8 @@
 
 The solve path reads ball candidates off per-center radius counts (no
 neighbour order is sorted), splits oversized groups with one vector
-distance call per peel, and keys the greedy heap with float ratios.
+distance call per peel, and orders the greedy's candidates by float
+ratios.
 These tests pin down that the work really moved off per-element scalar
 calls and that every shortcut orders exactly like the reference it
 replaced (prefixes of ``sorted`` with a ``(distance, index)`` key, a
@@ -61,13 +62,13 @@ def test_split_makes_one_vector_call_per_peel(name, monkeypatch):
     backend = make_backend(table, name)
     calls = count_scalar_distance(backend)
     vector_calls = [0]
-    vector = backend.distances_from
+    vector = backend._distances_array
 
     def counting(center, indices):
         vector_calls[0] += 1
         return vector(center, indices)
 
-    monkeypatch.setattr(backend, "distances_from", counting)
+    monkeypatch.setattr(backend, "_distances_array", counting)
     groups = split_into_small_groups(table, [range(120)], 4, backend=backend)
     if name != "python":  # the reference backend's fallback is scalar
         assert calls[0] == 0
@@ -95,6 +96,27 @@ def test_distances_from_matches_scalar_and_is_not_memoized(name):
     assert backend.distances_from(5, [0, 39, 5]) == [row[0], row[39], 0]
     assert backend.radius_from(5, range(40)) == max(row)
     assert backend.radius_from(5, []) == 0
+
+
+@pytest.mark.parametrize("name", ALL_BACKENDS)
+def test_diameters_batch_equals_one_group_at_a_time(name):
+    table = random_table(np.random.default_rng(4), 40, 6, 3)
+    backend = make_backend(table, name)
+    if name == "numpy":
+        backend.matrix_array()  # the batched gather reads the cached matrix
+    reference = make_backend(table, "python")
+    groups = [range(40), [3], [], [1, 2], [5, 9, 11], [0, 7, 8], [8, 7, 0],
+              [2, 4, 6, 8], range(0, 40, 3)]
+    expected = [
+        reference._compute_diameter(tuple(sorted(set(g)))) if len(set(g)) > 1
+        else 0
+        for g in groups
+    ]
+    assert backend.diameters(groups) == expected
+    scans = backend.counters["full_group_scans"]
+    assert backend.diameters(groups) == expected
+    assert backend.counters["full_group_scans"] == scans  # all memo hits
+    assert [backend.diameter(g) for g in groups] == expected
 
 
 # -- orders equal the references they replaced ---------------------------
@@ -242,3 +264,23 @@ def test_encoding_is_row_and_column_major():
     for i, row in enumerate(table.rows):
         for j, value in enumerate(row):
             assert encoded.decode(j, int(encoded.codes[i, j])) == value
+
+
+@given(_tables(), st.integers(1, 5), st.sampled_from(["radius_bound", "exact"]))
+@settings(max_examples=30, deadline=None)
+def test_fraction_candidate_stream_equals_float(table, k, mode):
+    """The ``Fraction`` guard branch of the candidate sort picks the same
+    balls as the float ``lexsort``."""
+    from repro.algorithms import center_cover
+
+    if table.n_rows < k:
+        return
+    backend = make_backend(table, "numpy")
+    expected = build_ball_cover(table, k, diameter_mode=mode, backend=backend)
+    original = center_cover.ratio_key
+    center_cover.ratio_key = lambda m, n: Fraction
+    try:
+        got = build_ball_cover(table, k, diameter_mode=mode, backend=backend)
+    finally:
+        center_cover.ratio_key = original
+    assert list(got.groups) == list(expected.groups)
