@@ -195,7 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--batch-window", type=float, default=0.005, metavar="SECONDS",
-        help="how long to coalesce concurrent arrivals (default: 0.005)",
+        help="how long a batch may wait for arrivals to fill idle "
+             "workers; a batch with a job per worker dispatches at "
+             "once (default: 0.005)",
     )
     serve.add_argument(
         "--cache-size", type=int, default=256, metavar="N",

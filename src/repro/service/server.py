@@ -615,8 +615,11 @@ class AnonymizationService:
     :param jobs: worker processes per dispatched batch (1 = solve
         in-line on the dispatcher thread).
     :param max_batch: most jobs dispatched per batch.
-    :param batch_window: seconds the dispatcher waits to coalesce
-        concurrent arrivals into one batch (0 disables the wait).
+    :param batch_window: seconds a batch may wait, after its first job,
+        for arrivals to fill idle workers.  The dispatcher takes every
+        job already queued without waiting, and waits only while the
+        batch has fewer jobs than ``jobs`` — so a ``jobs=1`` service
+        never waits (0 disables the wait everywhere).
     :param backend: distance backend for all solves (default: the
         process default, i.e. ``REPRO_BACKEND``).
     :param default_timeout: budget applied to requests that send none.
@@ -687,7 +690,10 @@ class AnonymizationService:
         self.coalesced = 0
         self.rejected = 0
         self.planned = 0
-        self.batches: list[int] = []
+        #: dispatched batches: how many, the largest, and jobs in all
+        self._batch_count = 0
+        self._batch_max = 0
+        self._batch_jobs = 0
         self.traces: list[dict[str, Any]] = []
         #: distinct instance keys this process actually solved (misses
         #: and bypasses — never hits or coalesced followers); the shard
@@ -1089,19 +1095,23 @@ class AnonymizationService:
     # -- the batch dispatcher ------------------------------------------
 
     async def _dispatch_loop(self) -> None:
+        """Take a job, then everything already queued, then wait for
+        more only while a worker would sit idle (``len(batch) <
+        jobs``) and no later than ``batch_window`` after the first."""
         assert self._queue is not None
         while True:
             batch = [await self._queue.get()]
             deadline = time.monotonic() + self.batch_window
             while len(batch) < self.max_batch:
+                if not self._queue.empty():
+                    batch.append(self._queue.get_nowait())
+                    continue
                 remaining = deadline - time.monotonic()
-                if remaining <= 0 and self._queue.empty():
+                if len(batch) >= self.jobs or remaining <= 0:
                     break
                 try:
                     batch.append(
-                        await asyncio.wait_for(
-                            self._queue.get(), max(0.0, remaining)
-                        )
+                        await asyncio.wait_for(self._queue.get(), remaining)
                     )
                 except asyncio.TimeoutError:
                     break
@@ -1126,7 +1136,9 @@ class AnonymizationService:
             ready.append(job)
         if not ready:
             return
-        self.batches.append(len(ready))
+        self._batch_count += 1
+        self._batch_max = max(self._batch_max, len(ready))
+        self._batch_jobs += len(ready)
         keys, tasks = self._merge_jobs(ready)
         try:
             outcomes = await asyncio.to_thread(
@@ -1191,7 +1203,7 @@ class AnonymizationService:
 
     def stats(self) -> dict[str, Any]:
         """Counters for the ``stats`` endpoint (JSON-ready)."""
-        sizes = self.batches
+        count = self._batch_count
         return {
             "protocol": PROTOCOL_VERSION,
             "uptime_seconds": time.time() - self.started_at,
@@ -1207,9 +1219,9 @@ class AnonymizationService:
             "cache": self.cache.as_dict(),
             "privacy": self.accountant.as_dict(),
             "batches": {
-                "count": len(sizes),
-                "max_size": max(sizes) if sizes else 0,
-                "mean_size": sum(sizes) / len(sizes) if sizes else 0.0,
+                "count": count,
+                "max_size": self._batch_max,
+                "mean_size": self._batch_jobs / count if count else 0.0,
             },
             "pool": self._pool.stats() if self._pool is not None else {
                 "mode": "per-batch" if self.jobs > 1 else "inline",

@@ -6,6 +6,7 @@ import asyncio
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -126,7 +127,8 @@ class TestServiceCore:
         assert len({r["csv"] for r in responses}) == 1
         assert service.coalesced == 2
         # coalesced requests never reached the solver
-        assert sum(service.batches) == 1
+        batches = service.stats()["batches"]
+        assert (batches["count"], batches["max_size"]) == (1, 1)
 
     def test_concurrent_distinct_requests_form_one_batch(self):
         async def scenario():
@@ -144,11 +146,11 @@ class TestServiceCore:
                 ))
             finally:
                 await service.stop()
-            return responses, service.batches
+            return responses, service.stats()["batches"]
 
         responses, batches = run(scenario())
         assert all(r["ok"] for r in responses)
-        assert len(batches) == 1 and batches[0] == 4
+        assert (batches["count"], batches["max_size"]) == (1, 4)
 
     def test_stats_counts_everything(self):
         table = small_table()
@@ -175,6 +177,74 @@ class TestServiceCore:
         assert "phases" in stats["traces"]
 
 
+class TestDispatchRule:
+    """A batch waits out ``batch_window`` only while a worker would sit
+    idle: it dispatches at once when it holds a job per worker."""
+
+    @staticmethod
+    def _requests(count: int) -> list[dict]:
+        return [
+            {"op": "anonymize", "k": 2,
+             "csv": quasi_identifiers(census_table(16, seed=s)).to_csv()}
+            for s in range(count)
+        ]
+
+    def test_lone_miss_on_one_worker_does_not_wait(self):
+        (request,) = self._requests(1)
+
+        async def scenario():
+            service = AnonymizationService(jobs=1, batch_window=5.0)
+            started = time.monotonic()
+            try:
+                response = await service.handle(request)
+            finally:
+                await service.stop()
+            return response, time.monotonic() - started
+
+        response, elapsed = run(scenario())
+        assert response["ok"] and response["cache"] == "miss"
+        assert elapsed < 1.0
+
+    def test_full_batch_dispatches_before_the_window(self):
+        async def scenario():
+            service = AnonymizationService(jobs=2, batch_window=5.0)
+            started = time.monotonic()
+            try:
+                responses = await asyncio.gather(
+                    *(service.handle(r) for r in self._requests(2))
+                )
+            finally:
+                await service.stop()
+            return (responses, service.stats()["batches"],
+                    time.monotonic() - started)
+
+        responses, batches, elapsed = run(scenario())
+        assert all(r["ok"] and r["cache"] == "miss" for r in responses)
+        assert (batches["count"], batches["max_size"]) == (1, 2)
+        assert elapsed < 5.0
+
+    def test_window_still_fills_an_idle_worker(self):
+        first, second = self._requests(2)
+        service = AnonymizationService(jobs=2, batch_window=2.0)
+
+        async def late(request):
+            await asyncio.sleep(0.05)
+            return await service.handle(request)
+
+        async def scenario():
+            try:
+                return await asyncio.gather(
+                    service.handle(first), late(second)
+                )
+            finally:
+                await service.stop()
+
+        responses = run(scenario())
+        assert all(r["ok"] and r["cache"] == "miss" for r in responses)
+        batches = service.stats()["batches"]
+        assert (batches["count"], batches["max_size"]) == (1, 2)
+
+
 class TestAdmissionControl:
     @pytest.mark.parametrize("request_patch,code", [
         ({"csv": ""}, "bad-request"),
@@ -194,7 +264,8 @@ class TestAdmissionControl:
         (response,) = run(_served(service, request))
         assert not response["ok"]
         assert response["code"] == code
-        assert not service.batches  # nothing was dispatched
+        # nothing was dispatched
+        assert service.stats()["batches"]["count"] == 0
 
     def test_non_object_and_unknown_op(self):
         service = AnonymizationService()
