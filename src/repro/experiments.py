@@ -103,6 +103,38 @@ def _worker_init(backend_default: str | None) -> None:
         os.environ["REPRO_BACKEND"] = backend_default
 
 
+#: ``on_result(index, result)``: called as each task's result exists
+ResultCallback = Callable[[int, Any], None]
+
+
+def _gather(
+    executor: ProcessPoolExecutor,
+    fn: Callable[[Any], Any],
+    tasks: list,
+    on_result: ResultCallback | None,
+) -> list:
+    """Fan *tasks* out on *executor*; results in task order.
+
+    The first exception cancels every not-yet-started task and
+    re-raises.
+    """
+    results: list = [None] * len(tasks)
+    futures = {
+        executor.submit(fn, task): index for index, task in enumerate(tasks)
+    }
+    try:
+        for future in as_completed(futures):
+            index = futures[future]
+            results[index] = future.result()
+            if on_result is not None:
+                on_result(index, results[index])
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        raise
+    return results
+
+
 class WorkerCrashError(RuntimeError):
     """A pool worker process died mid-task (hard exit, kill, segfault).
 
@@ -189,7 +221,12 @@ class WorkerPool:
                 self._executor = None
             self.rebuilds += 1
 
-    def run(self, fn: Callable[[Any], Any], tasks: list) -> list:
+    def run(
+        self,
+        fn: Callable[[Any], Any],
+        tasks: list,
+        on_result: ResultCallback | None = None,
+    ) -> list:
         """``[fn(t) for t in tasks]`` on the warm pool, in task order.
 
         Same contract as :func:`run_tasks`' pooled path — the first
@@ -199,29 +236,17 @@ class WorkerPool:
         """
         if not tasks:
             return []
-        results: list = [None] * len(tasks)
         try:
             executor = self._acquire(len(tasks))
             self.batches += 1
             self.tasks += len(tasks)
-            futures = {
-                executor.submit(fn, task): index
-                for index, task in enumerate(tasks)
-            }
-            try:
-                for future in as_completed(futures):
-                    results[futures[future]] = future.result()
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
+            return _gather(executor, fn, tasks, on_result)
         except BrokenExecutor as exc:
             self._discard_broken()
             raise WorkerCrashError(
                 f"a worker process died mid-batch ({exc}); "
                 "the pool will be rebuilt on the next dispatch"
             ) from exc
-        return results
 
     def close(self) -> None:
         """Shut the workers down (idempotent; the pool can respawn)."""
@@ -268,13 +293,16 @@ def run_tasks(
     jobs: int = 1,
     *,
     pool: WorkerPool | None = None,
+    on_result: ResultCallback | None = None,
 ) -> list:
     """Run ``[fn(t) for t in tasks]``, optionally on a process pool.
 
     ``jobs=1`` (or a single task) executes inline; otherwise a
     spawn-context ``ProcessPoolExecutor`` fans the tasks out (*fn* and
     every task must be picklable).  Results always come back in task
-    order.  The first worker exception cancels every not-yet-started
+    order; *on_result* additionally hears of each one as soon as it
+    exists, so a caller can act on a fast task before a slow batchmate
+    finishes.  The first worker exception cancels every not-yet-started
     task, shuts the pool down, and re-raises in the caller — a
     :class:`~repro.instrument.BudgetExceededError` in one trial surfaces
     exactly like it would serially, without orphaning worker processes.
@@ -291,31 +319,23 @@ def run_tasks(
     (:mod:`repro.service.server`) dispatches request batches through it.
     """
     if pool is not None:
-        return pool.run(fn, tasks)
+        return pool.run(fn, tasks, on_result)
     if jobs < 1:
         raise ValueError("jobs must be a positive integer")
     if jobs == 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    results: list = [None] * len(tasks)
-    context = get_context("spawn")
+        results = []
+        for index, task in enumerate(tasks):
+            results.append(fn(task))
+            if on_result is not None:
+                on_result(index, results[index])
+        return results
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(tasks)),
-        mp_context=context,
+        mp_context=get_context("spawn"),
         initializer=_worker_init,
         initargs=(os.environ.get("REPRO_BACKEND") or None,),
     ) as executor:
-        futures = {
-            executor.submit(fn, task): index
-            for index, task in enumerate(tasks)
-        }
-        try:
-            for future in as_completed(futures):
-                results[futures[future]] = future.result()
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
-    return results
+        return _gather(executor, fn, tasks, on_result)
 
 
 def _fresh_copy(algorithm: Anonymizer) -> Anonymizer:

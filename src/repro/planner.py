@@ -61,6 +61,11 @@ def tier_of(info: registry.AlgorithmInfo) -> int:
     return TIER_HEURISTIC
 
 
+def sigma_of(table: Table) -> int:
+    """σ: the most distinct unsuppressed values in any one column."""
+    return max((len(alphabet) for alphabet in table.alphabets()), default=0)
+
+
 @dataclass(frozen=True)
 class InstanceFeatures:
     """The features the capability predicates and cost models consume."""
@@ -72,10 +77,8 @@ class InstanceFeatures:
 
     @classmethod
     def from_table(cls, table: Table, k: int) -> "InstanceFeatures":
-        sigma = max(
-            (len(alphabet) for alphabet in table.alphabets()), default=0
-        )
-        return cls(n=table.n_rows, m=table.degree, sigma=sigma, k=k)
+        return cls(n=table.n_rows, m=table.degree, sigma=sigma_of(table),
+                   k=k)
 
     def to_dict(self) -> dict[str, int]:
         return {"n": self.n, "m": self.m, "sigma": self.sigma, "k": self.k}

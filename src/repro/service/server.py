@@ -103,8 +103,11 @@ and surviving worker crashes — a killed worker fails only its batch
 from __future__ import annotations
 
 import asyncio
+import functools
+import hashlib
 import multiprocessing
 import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -121,6 +124,7 @@ from repro.core.backend import default_backend_name
 from repro.core.table import Table
 from repro.experiments import WorkerPool, run_tasks
 from repro.instrument import BudgetExceededError, TimeBudget, summarize_traces
+from repro.planner import InstanceFeatures, plan_features, sigma_of
 from repro.privacy.dp import BudgetExhaustedError, PrivacyAccountant
 from repro.service.cache import SolutionCache, is_cache_key
 from repro.service.wire import _error
@@ -463,8 +467,6 @@ class Admission:
     routing_key: str
     csv: str
     header: bool
-    #: the parsed table (a delta's appended rows only)
-    table: Table
     #: ``None`` on a delta that leaves ``k`` to its stored stream
     k: int | None
     #: canonical solver name, aliases and ``auto`` resolved
@@ -481,6 +483,79 @@ class Admission:
     state_key: str | None = None
     #: table hash an ε charge books against (ε requests only)
     dataset: str | None = None
+    #: a delta's parsed rows (an ``anonymize`` keeps no table: its
+    #: facts may come from the memo without a parse)
+    table: Table | None = None
+
+
+#: most entries each admission memo keeps (least recently used leaves
+#: first): the facts of distinct (CSV text, header) pairs, and the
+#: unbudgeted ``auto`` plans of distinct instance features
+ADMISSION_MEMO_SIZE = 256
+
+
+@dataclass
+class _TableFacts:
+    """What :func:`admit` reads off a parsed table."""
+
+    #: the canonical :func:`~repro.artifacts.table_hash` every key
+    #: derives from, so memoized and parsed admissions key identically
+    digest: str
+    n_rows: int
+    degree: int
+    #: σ for the planner, filled by the first ``auto`` request
+    sigma: int | None = None
+
+
+#: table facts by (digest of the CSV text, header flag); digests, not
+#: texts, because a request line may be 64 MiB
+_table_memo: dict[tuple[bytes, bool], _TableFacts] = {}
+_table_memo_lock = threading.Lock()
+
+
+def _parse(csv: str, header: bool) -> Table:
+    try:
+        return Table.from_csv(csv, header=header)
+    except ValueError as exc:
+        raise ServiceError("bad-request", f"bad csv: {exc}") from None
+
+
+def _table_facts(csv: str, header: bool, with_sigma: bool) -> _TableFacts:
+    """The request table's facts, parsed and hashed only on a memo miss
+    (or for σ the first time an ``auto`` request needs it).
+
+    Only a successful parse is remembered, so a bad CSV is rejected
+    every time.  ``surrogatepass`` lets a lone surrogate, which JSON
+    may carry, into the digest instead of raising.
+    """
+    fingerprint = (
+        hashlib.blake2b(
+            csv.encode("utf-8", "surrogatepass"), digest_size=16
+        ).digest(),
+        header,
+    )
+    with _table_memo_lock:
+        facts = _table_memo.pop(fingerprint, None)
+    if facts is None or (with_sigma and facts.sigma is None):
+        table = _parse(csv, header)
+        if facts is None:
+            facts = _TableFacts(table_hash(table), table.n_rows, table.degree)
+        if with_sigma:
+            facts.sigma = sigma_of(table)
+    with _table_memo_lock:
+        _table_memo[fingerprint] = facts
+        while len(_table_memo) > ADMISSION_MEMO_SIZE:
+            del _table_memo[next(iter(_table_memo))]
+    return facts
+
+
+@functools.lru_cache(maxsize=ADMISSION_MEMO_SIZE)
+def _unbudgeted_plan(features: InstanceFeatures) -> tuple[str, dict]:
+    """The ``auto`` decision without a budget, a pure function of the
+    features.  Every admission of the same features shares the one
+    plan dict, which callers must treat as read-only."""
+    decision = plan_features(features)
+    return decision.algorithm, decision.to_dict()
 
 
 def admit(request: Any, backend: str) -> Admission:
@@ -492,7 +567,12 @@ def admit(request: Any, backend: str) -> Admission:
     distance *backend* alone.  ``auto`` plans against the request's own
     ``timeout`` (or the planner's soft cap), never a server's cap, so
     router and shard resolve the same solver.  The table is parsed once
-    and hashed once; every key derives from that one hash.
+    and hashed once; every key derives from that one hash.  A repeated
+    ``anonymize`` skips even that: its hash, shape and σ are remembered
+    by the digest of its CSV text, and an unbudgeted ``auto`` plan by
+    its instance features (both memos hold
+    :data:`ADMISSION_MEMO_SIZE` entries).  Every field is still
+    validated on every request.
 
     Raises :class:`ServiceError` on an invalid request.
     """
@@ -529,12 +609,9 @@ def admit(request: Any, backend: str) -> Admission:
         if timeout < 0:
             raise ServiceError("bad-request", "'timeout' cannot be negative")
     header = bool(request.get("header", True))
-    try:
-        table = Table.from_csv(csv, header=header)
-    except ValueError as exc:
-        raise ServiceError("bad-request", f"bad csv: {exc}") from None
     trace = bool(request.get("trace", False))
     if delta:
+        table = _parse(csv, header)
         if table.n_rows == 0:
             raise ServiceError(
                 "bad-request", "delta carries no rows (header-only csv)"
@@ -545,14 +622,21 @@ def admit(request: Any, backend: str) -> Admission:
             timeout=timeout, trace=trace,
         )
     name = request.get("algorithm", "center_cover")
+    facts = _table_facts(csv, header, with_sigma=name == "auto")
     plan = None
     if name == "auto":
         # keyed (and cached) under the *resolved* algorithm, so an
         # explicit request for the same solver shares the entry
-        from repro.planner import plan as plan_instance
-
-        decision = plan_instance(table, k, budget=timeout)
-        algorithm, plan = decision.algorithm, decision.to_dict()
+        assert facts.sigma is not None  # filled for ``auto``
+        features = InstanceFeatures(
+            n=facts.n_rows, m=facts.degree, sigma=facts.sigma, k=k
+        )
+        if timeout is None:
+            algorithm, plan = _unbudgeted_plan(features)
+        else:
+            # a budget's remaining time moves, so its plan is not reused
+            decision = plan_features(features, budget=timeout)
+            algorithm, plan = decision.algorithm, decision.to_dict()
     else:
         try:
             algorithm = registry.get(name).name
@@ -563,14 +647,14 @@ def admit(request: Any, backend: str) -> Admission:
             ) from None
     privacy = None
     if request.get("privacy") is not None:
-        privacy = normalize_privacy(request["privacy"], table.degree)
+        privacy = normalize_privacy(request["privacy"], facts.degree)
         if algorithm == "incremental":
             raise ServiceError(
                 "bad-request",
                 "the 'privacy' block is not supported with the "
                 "incremental streaming algorithm",
             )
-    digest = table_hash(table)
+    digest = facts.digest
     key = _key_from_hash(digest, k, algorithm, backend, privacy)
     state = None
     if algorithm == "incremental":
@@ -579,7 +663,7 @@ def admit(request: Any, backend: str) -> Admission:
         state = _key_from_hash(digest, k, algorithm, backend, state=True)
     return Admission(
         op=op, routing_key=state or key, csv=csv, header=header,
-        table=table, k=k, algorithm=algorithm, timeout=timeout,
+        k=k, algorithm=algorithm, timeout=timeout,
         trace=trace, privacy=privacy, plan=plan, key=key, state_key=state,
         dataset=digest if privacy and "epsilon" in privacy else None,
     )
@@ -1000,6 +1084,7 @@ class AnonymizationService:
                 f"k={state.k} — changing k means re-solving from scratch",
             )
         rows = admission.table
+        assert rows is not None
         if rows.degree != state.degree:
             raise ServiceError(
                 "bad-request",
@@ -1118,7 +1203,11 @@ class AnonymizationService:
             await self._run_batch(batch)
 
     async def _run_batch(self, batch: list[_Job]) -> None:
-        """Dispatch one batch to the trial executor (in a thread)."""
+        """Dispatch one batch to the trial executor (in a thread).
+
+        Each job is answered as soon as its own outcome exists, not when
+        the batch's slowest solve ends.
+        """
         ready: list[_Job] = []
         for job in batch:
             if job.future.done():
@@ -1140,10 +1229,23 @@ class AnonymizationService:
         self._batch_max = max(self._batch_max, len(ready))
         self._batch_jobs += len(ready)
         keys, tasks = self._merge_jobs(ready)
+        loop = asyncio.get_running_loop()
+
+        def resolve(index: int, outcome: dict[str, Any]) -> None:
+            for job in ready:
+                if job.key == keys[index] and not job.future.done():
+                    job.future.set_result(outcome)
+
         try:
-            outcomes = await asyncio.to_thread(
+            # each resolve is queued on the loop before the thread's
+            # completion is, so every job has its outcome when this
+            # await returns
+            await asyncio.to_thread(
                 run_tasks, _solve_task, tasks,
                 min(self.jobs, len(keys)), pool=self._pool,
+                on_result=lambda index, outcome: loop.call_soon_threadsafe(
+                    resolve, index, outcome
+                ),
             )
         except Exception as exc:  # noqa: BLE001 - executor boundary
             for job in ready:
@@ -1151,11 +1253,6 @@ class AnonymizationService:
                     job.future.set_exception(
                         ServiceError("internal", str(exc))
                     )
-            return
-        by_key = dict(zip(keys, outcomes))
-        for job in ready:
-            if not job.future.done():
-                job.future.set_result(by_key[job.key])
 
     @staticmethod
     def _merge_jobs(

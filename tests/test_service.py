@@ -244,6 +244,46 @@ class TestDispatchRule:
         batches = service.stats()["batches"]
         assert (batches["count"], batches["max_size"]) == (1, 2)
 
+    def test_fast_batchmate_is_answered_before_the_slow_one_ends(
+        self, monkeypatch
+    ):
+        from repro.service import server as server_module
+
+        fast, slow = self._requests(2)
+        slow["k"] = 3  # marks the slow solve
+        solve = server_module._solve_task
+        slow_finished: list[float] = []
+
+        def solve_slowly(task):
+            outcome = solve(task)
+            if task.k == 3:
+                time.sleep(0.5)
+                slow_finished.append(time.monotonic())
+            return outcome
+
+        monkeypatch.setattr(server_module, "_solve_task", solve_slowly)
+        service = AnonymizationService(jobs=1)
+
+        async def answered_at(request):
+            response = await service.handle(request)
+            return response, time.monotonic()
+
+        async def scenario():
+            try:
+                # the slow request is queued before the dispatcher runs,
+                # so both share one inline batch, fast one first
+                return await asyncio.gather(
+                    answered_at(fast), answered_at(slow)
+                )
+            finally:
+                await service.stop()
+
+        (fast_response, fast_at), (slow_response, _) = run(scenario())
+        assert fast_response["ok"] and slow_response["ok"]
+        batches = service.stats()["batches"]
+        assert (batches["count"], batches["max_size"]) == (1, 2)
+        assert fast_at < slow_finished[0]
+
 
 class TestAdmissionControl:
     @pytest.mark.parametrize("request_patch,code", [
