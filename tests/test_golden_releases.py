@@ -24,6 +24,7 @@ import pytest
 
 from repro import registry
 from repro.algorithms.center_cover import CenterCoverAnonymizer
+from repro.algorithms.greedy_cover import GreedyCoverAnonymizer
 from repro.core.backend import available_backends
 from repro.workloads import census_table, quasi_identifiers, uniform_table
 
@@ -69,6 +70,25 @@ GOLDEN = [
      "topdown_greedy",
      lambda: uniform_table(120, 32, alphabet_size=2, seed=9), 4,
      "c0061f21b8017300eff46ecd9e255097791a45159f264279dc0fc0de842d0918"),
+    # Theorem 4.1, recorded from the eager greedy that re-scanned every
+    # [k, 2k-1]-subset on each pick
+    ("greedy_cover-census-20",
+     "greedy_cover", lambda: quasi_identifiers(census_table(20, seed=11)), 3,
+     "31888606dac78afdb3a21b6abe03af1b76e0df9c4a9b0987630f790e7c3cacce"),
+    ("greedy_cover-census-24",
+     "greedy_cover", lambda: quasi_identifiers(census_table(24, seed=12)), 2,
+     "b083e7eb21ab82757d5a1343595cb795c4741a6626d72e68383bf1d1a9a100e6"),
+    ("greedy_cover-binary-18x8",
+     "greedy_cover", lambda: uniform_table(18, 8, alphabet_size=2, seed=13), 3,
+     "e704f6561f70d9d59e2f94a9d0f8981fa612e5b873dce1b5b7ea57a3eca276e0"),
+    ("greedy_cover-binary-22x10",
+     "greedy_cover", lambda: uniform_table(22, 10, alphabet_size=2, seed=14),
+     2,
+     "157cb6785902622b040882df8964aaa1cbb9ff06eda17caeceb7c14ac757f6f6"),
+    ("greedy_cover-kmax4-census-16",
+     lambda: GreedyCoverAnonymizer(k_max=4),
+     lambda: quasi_identifiers(census_table(16, seed=15)), 3,
+     "f7a2cdc72ea8b2fa6667c95a10f4cf87c6072aa845986d199c985d2e04aee86c"),
 ]
 
 #: instances cheap enough for the pure-Python backend as well (its
@@ -78,6 +98,9 @@ _PYTHON_OK = {
     "reduce_cover-census-300",
     "kmember-census-120", "kmember-binary-90x24", "mst_forest-census-150",
     "topdown_greedy-census-150", "topdown_greedy-binary-120x32",
+    "greedy_cover-census-20", "greedy_cover-census-24",
+    "greedy_cover-binary-18x8", "greedy_cover-binary-22x10",
+    "greedy_cover-kmax4-census-16",
 }
 
 
