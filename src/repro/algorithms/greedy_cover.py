@@ -1,4 +1,5 @@
-"""Theorem 4.1: greedy cover over all small subsets.
+"""Theorem 4.1: greedy cover over all small subsets, and the lazy greedy
+set cover it shares with Theorem 4.2.
 
 Phase 1 (Section 4.2.1) runs the classical greedy set-cover algorithm on
 the collection ``C`` of *all* subsets of ``V`` with cardinality in
@@ -12,13 +13,24 @@ suppresses each group to its common image.  The result is a
 ``O(|V|^{2k})`` — exponential in k, so this algorithm is practical only
 for small k (the paper notes k of 5 or 6 suffices in practice) and
 modest n.
+
+Theorem 4.2 (:mod:`repro.algorithms.center_cover`) runs the same greedy
+over balls: both call :func:`lazy_greedy_cover`.  A candidate's diameter
+is fixed and ``|S \\ D|`` only falls, so its ratio only rises: popping
+candidates by first ratio and re-queueing those that rose past the next
+one makes exactly the eager greedy's picks.
 """
 
 from __future__ import annotations
 
+import abc
+import heapq
 import math
+from collections.abc import Callable
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from operator import truediv
+from typing import Any
 
 from repro.algorithms.base import AnonymizationResult, Anonymizer
 from repro.algorithms.reduce_cover import reduce_and_shrink
@@ -27,6 +39,100 @@ from repro.core.partition import Cover
 from repro.core.table import Table
 from repro.registry import register
 from repro.theory import theorem_4_1_bound
+
+#: candidates turned into heap entries (and re-keyed) at a time
+_CHUNK = 1024
+
+
+def ratio_key(m: int, n: int) -> Callable[[int, int], float | Fraction]:
+    """The greedy heap's key for a ratio ``d / q`` on an n-row, m-column table.
+
+    Ratios have ``0 <= d <= m`` and ``1 <= q <= n``, so two distinct ones
+    differ by at least ``1/n^2``, while rounding ``d / q`` to a float
+    moves it by at most ``m * 2^-53``.  When ``m * n^2 < 2^52`` the float
+    order is therefore exactly the ``Fraction`` order, ties included.
+    Breaking that bound takes over 100 GB of distance matrix or table
+    cells, so the ``Fraction`` branch is only a guard.
+    """
+    return truediv if m * n * n < 2 ** 52 else Fraction
+
+
+def lazy_greedy_cover(
+    m: int, n: int, d: Any, sizes: Any,
+    members_of: Callable[[int], list[int]],
+    rescore: Callable[[list[int]], int] | None = None,
+    member_rows: Any = None,
+) -> list[frozenset[int]]:
+    """Greedy set cover of rows ``0..n-1`` by least ``d(S) / |S \\ D|``.
+
+    Candidate ``i`` (indexed in tie-break order) has diameter or estimate
+    ``d[i]`` and ``sizes[i]`` members, listed by ``members_of(i)``.  On
+    its first pop *rescore*, if given, maps them to its exact diameter.
+    With *member_rows* (members padded with ``-1``, one row each) each
+    chunk is re-keyed by ``d`` before it is popped.  Returns the chosen
+    sets in pick order.
+    """
+    import numpy as np
+
+    ratio = ratio_key(m, n)
+    ratios = d / sizes if ratio is truediv else np.array(
+        list(map(ratio, d.tolist(), sizes.tolist())), dtype=object)
+    # heap entries are (ratio, d, i): the index breaks ties, so one stable
+    # lexsort on (ratio, d) orders them
+    order = np.lexsort((d, ratios))
+    uncovered = [True] * n
+    # Candidates re-queued with a larger ratio go to a side heap, and a
+    # pop takes the smaller of the two heads: the least stored key of
+    # all, as one heap holding every candidate would.
+    requeued: list[tuple] = []
+
+    def candidates():
+        for start in range(0, len(order), _CHUNK):
+            taken = order[start:start + _CHUNK]
+            if member_rows is not None:
+                # a candidate with no uncovered member is dropped, and one
+                # with some covered goes to the side heap under its
+                # current ratio; the last flag is the row a -1 pad reads
+                flags = np.array(uncovered + [False])
+                newly = np.count_nonzero(flags[member_rows[taken]], axis=1)
+                whole = newly == sizes[taken]
+                partly = ~whole & (newly > 0)
+                cut = d[taken[partly]].tolist()
+                for entry in zip(map(ratio, cut, newly[partly].tolist()), cut,
+                                 taken[partly].tolist()):
+                    heapq.heappush(requeued, entry)
+                taken = taken[whole]
+            yield from zip(ratios[taken].tolist(), d[taken].tolist(),
+                           taken.tolist())
+
+    stream = candidates()
+    upcoming = next(stream, None)
+    remaining = n
+    chosen: list[frozenset[int]] = []
+    while remaining:
+        first = not requeued or (upcoming is not None and upcoming < requeued[0])
+        if first:
+            _, diameter, i = upcoming
+            upcoming = next(stream, None)
+        else:
+            _, diameter, i = heapq.heappop(requeued)
+        members = members_of(i)
+        newly = sum(1 for v in members if uncovered[v])
+        if newly == 0:
+            continue
+        if first and rescore is not None:
+            diameter = rescore(members)
+        entry = (ratio(diameter, newly), diameter, i)
+        if (requeued and entry > requeued[0]) or (
+            upcoming is not None and entry > upcoming
+        ):
+            heapq.heappush(requeued, entry)
+            continue
+        chosen.append(frozenset(members))
+        for v in members:
+            uncovered[v] = False
+        remaining -= newly
+    return chosen
 
 
 def build_greedy_cover(
@@ -40,11 +146,14 @@ def build_greedy_cover(
     :param backend: distance-backend selector (see
         :func:`repro.core.backend.get_backend`).
     :returns: a (k, k_max)-cover chosen greedily by diameter-per-new-vector.
-    :raises ValueError: if ``0 < n < k`` (no valid cover exists).
+    :raises ValueError: if ``0 < n < k`` (no valid cover exists) or
+        ``k_max < k``.
 
     Deterministic: ties are broken toward smaller diameter, then
     lexicographically smaller member tuples.
     """
+    import numpy as np
+
     n = table.n_rows
     if k < 1:
         raise ValueError("k must be positive")
@@ -52,49 +161,59 @@ def build_greedy_cover(
         return Cover([], 0, k, k_max=k_max)
     if n < k:
         raise ValueError(f"{n} rows cannot be covered by sets of size >= {k}")
-    upper = (2 * k - 1) if k_max is None else k_max
-    upper = min(upper, n)
+    upper = min((2 * k - 1) if k_max is None else k_max, n)
+    if upper < k:  # n >= k here, so k_max < k
+        raise ValueError("k_max must be at least k")
 
-    # Lazy per-row distances: subsets only ever index rows of their own
-    # members, so the backend fills distance rows on demand instead of
-    # materializing the full n x n nested-list matrix up front.
-    metric = get_backend(table, backend)
-    diameter_cache: dict[tuple[int, ...], int] = {}
+    # row and column n stay 0: the -1 that pads a small subset reads them
+    dist = np.zeros((n + 1, n + 1), dtype=np.int64)
+    dist[:n, :n] = get_backend(table, backend).distance_matrix()
+    dtype = np.min_scalar_type(-n)
+    rows = np.concatenate([np.pad(
+        np.fromiter(chain.from_iterable(combinations(range(n), size)), dtype)
+        .reshape(-1, size), ((0, 0), (0, upper - size)), constant_values=-1,
+    ) for size in range(k, upper + 1)])
+    # lexicographic order of member tuples: -1 pads sort first, so a
+    # tuple comes before its extensions; a subset's rank is its tie-break
+    rows = rows[np.lexsort(rows.T[::-1])]
+    d = np.zeros(len(rows), dtype=dist.dtype)
+    for a, b in combinations(range(upper), 2):
+        np.maximum(d, dist[rows[:, a], rows[:, b]], out=d)
+    sizes = np.count_nonzero(rows >= 0, axis=1)
+    chosen = lazy_greedy_cover(
+        table.degree, n, d, sizes, lambda i: rows[i, :sizes[i]].tolist(),
+        member_rows=rows,
+    )
+    return Cover(chosen, n, k, k_max=upper)
 
-    def subset_diameter(members: tuple[int, ...]) -> int:
-        cached = diameter_cache.get(members)
-        if cached is not None:
-            return cached
-        best = 0
-        for a in range(len(members)):
-            row = metric.distance_row(members[a])
-            for b in range(a + 1, len(members)):
-                d = row[members[b]]
-                if d > best:
-                    best = d
-        diameter_cache[members] = best
-        return best
 
-    uncovered = set(range(n))
-    chosen: list[frozenset[int]] = []
-    iterations = 0
-    while uncovered:
-        iterations += 1
-        best_key: tuple[Fraction, int, tuple[int, ...]] | None = None
-        for size in range(k, upper + 1):
-            for members in combinations(range(n), size):
-                newly = sum(1 for v in members if v in uncovered)
-                if newly == 0:
-                    continue
-                d = subset_diameter(members)
-                key = (Fraction(d, newly), d, members)
-                if best_key is None or key < best_key:
-                    best_key = key
-        assert best_key is not None, "uncovered rows imply a candidate exists"
-        chosen.append(frozenset(best_key[2]))
-        uncovered.difference_update(best_key[2])
-    cover = Cover(chosen, n, k, k_max=upper)
-    return cover
+class CoverReduceAnonymizer(Anonymizer):
+    """Cover -> Reduce -> suppress, the pipeline of Theorems 4.1 and 4.2."""
+
+    @abc.abstractmethod
+    def _cover(self, table: Table, k: int, backend) -> tuple[Cover, dict]:
+        """Phase 1: a (k, *)-cover, and the settings to report in extras."""
+
+    def _anonymize(self, table: Table, k: int, run) -> AnonymizationResult:
+        self._check_feasible(table, k)
+        if table.n_rows == 0:
+            return self._empty_result(table, k)
+        resolved = run.backend
+        with run.phase("cover"):
+            cover, settings = self._cover(table, k, resolved)
+        with run.phase("reduce"):
+            partition = reduce_and_shrink(table, cover, backend=resolved)
+        run.count("cover_sets", len(cover))
+        with run.phase("stats"):
+            extras = {
+                "cover_sets": len(cover),
+                "cover_diameter_sum": cover.diameter_sum(table, backend=resolved),
+                "partition_diameter_sum": partition.diameter_sum(
+                    table, backend=resolved
+                ),
+                **settings,
+            }
+        return self._result_from_partition(table, k, partition, extras, run=run)
 
 
 def _greedy_cover_applicable(n: int, m: int, sigma: int, k: int) -> bool:
@@ -104,9 +223,11 @@ def _greedy_cover_applicable(n: int, m: int, sigma: int, k: int) -> bool:
 
 
 def _greedy_cover_cost(n: int, m: int, sigma: int, k: int) -> float:
-    # ~35 ops per candidate subset per the E9 greedy series
-    # (test_e9_greedy_scaling_in_n: n=14, k=3 -> C(14,5)=2002 -> 5.6 ms)
-    return math.comb(n, min(2 * k - 1, n)) * 35.0 * k
+    # the distance matrix, priced as center_cover prices it, plus ~4k ops
+    # per largest-size subset for the enumeration and the lazy greedy
+    # (k=3 census and binary solves: n=20 14-26 ms, n=30 0.09-0.15 s,
+    # n=40 0.49-0.62 s, against estimates of 16 ms, 0.14 s and 0.66 s)
+    return float(n) * n * m + math.comb(n, min(2 * k - 1, n)) * 4.0 * k
 
 
 @register(
@@ -119,7 +240,7 @@ def _greedy_cover_cost(n: int, m: int, sigma: int, k: int) -> float:
     applicable=_greedy_cover_applicable,
     cost_model=_greedy_cover_cost,
 )
-class GreedyCoverAnonymizer(Anonymizer):
+class GreedyCoverAnonymizer(CoverReduceAnonymizer):
     """The full Theorem 4.1 pipeline: Cover -> Reduce -> suppress.
 
     >>> from repro.core.table import Table
@@ -136,24 +257,5 @@ class GreedyCoverAnonymizer(Anonymizer):
         super().__init__(backend=backend, budget=budget, trace=trace)
         self._k_max = k_max
 
-    def _anonymize(self, table: Table, k: int, run) -> AnonymizationResult:
-        self._check_feasible(table, k)
-        if table.n_rows == 0:
-            return self._empty_result(table, k)
-        resolved = run.backend
-        with run.phase("cover"):
-            cover = build_greedy_cover(
-                table, k, k_max=self._k_max, backend=resolved
-            )
-        with run.phase("reduce"):
-            partition = reduce_and_shrink(table, cover, backend=resolved)
-        run.count("cover_sets", len(cover))
-        with run.phase("stats"):
-            extras = {
-                "cover_sets": len(cover),
-                "cover_diameter_sum": cover.diameter_sum(table, backend=resolved),
-                "partition_diameter_sum": partition.diameter_sum(
-                    table, backend=resolved
-                ),
-            }
-        return self._result_from_partition(table, k, partition, extras, run=run)
+    def _cover(self, table: Table, k: int, backend) -> tuple[Cover, dict]:
+        return build_greedy_cover(table, k, k_max=self._k_max, backend=backend), {}

@@ -35,6 +35,7 @@ from repro.algorithms.base import (
     Anonymizer,
     InfeasibleAnonymizationError,
 )
+from repro.core.alphabet import STAR
 from repro.core.table import Table
 from repro.instrument import BudgetExceededError, TimeBudget, as_budget
 
@@ -62,8 +63,8 @@ def tier_of(info: registry.AlgorithmInfo) -> int:
 
 
 def sigma_of(table: Table) -> int:
-    """σ: the most distinct unsuppressed values in any one column."""
-    return max((len(alphabet) for alphabet in table.alphabets()), default=0)
+    """σ: the most distinct unsuppressed values in any one column (0 if none)."""
+    return max((len(set(col) - {STAR}) for col in zip(*table.rows)), default=0)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,13 @@ class TestPlanDecisions:
         exact = registry.get("branch_bound").estimated_seconds(1100, 12, 5, 3)
         assert exact == float("inf")
 
+    def test_all_star_column_and_empty_table_have_sigma_zero(self):
+        starred = Table.from_csv("a,b\n*,1\n*,2\n")
+        assert planner.sigma_of(starred) == 2
+        assert planner.sigma_of(Table.from_csv("a,b\n")) == 0
+        assert plan(starred, 1).features.sigma == 2
+        assert planner.sigma_of(Table.from_csv("a,b\n*,*\n")) == 0
+
     def test_candidates_cover_the_whole_registry(self):
         decision = plan(Table([(0, 0), (0, 1), (1, 0), (1, 1)]), 2)
         assert {c.name for c in decision.candidates} == set(registry.names())

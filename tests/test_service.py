@@ -324,6 +324,31 @@ class TestAdmissionControl:
         assert response["ok"]
         assert response["algorithm"] == "center_cover"
 
+    @pytest.mark.parametrize("csv", ["a,b\n*,1\n*,2\n", "a,b\n"])
+    def test_auto_plans_an_all_star_column_or_no_rows(self, csv):
+        """σ of an all-``*`` column or of a header-only table is 0; its
+        computation used to raise inside admission and escape
+        ``handle``."""
+        service = AnonymizationService()
+        (response,) = run(_served(
+            service, {"op": "anonymize", "csv": csv, "k": 1,
+                      "algorithm": "auto"}))
+        assert isinstance(response, dict)
+        stats = service.stats()
+        assert stats["planned"] == 1
+        assert stats["batches"]["count"] == 1
+
+    def test_auto_on_a_header_only_table_is_served(self):
+        service = AnonymizationService()
+        auto, explicit = run(_served(
+            service,
+            {"op": "anonymize", "csv": "a,b\n", "k": 1, "algorithm": "auto"},
+            {"op": "anonymize", "csv": "a,b\n", "k": 1,
+             "algorithm": "center_cover"},
+        ))
+        assert auto["ok"] and explicit["ok"]
+        assert auto["csv"] == explicit["csv"] == "a,b\n"
+
     def test_timeout_above_server_cap_is_rejected(self):
         service = AnonymizationService(max_timeout=1.0)
         request = {"op": "anonymize", "csv": small_table().to_csv(),

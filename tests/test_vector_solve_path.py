@@ -270,17 +270,26 @@ def test_encoding_is_row_and_column_major():
 @settings(max_examples=30, deadline=None)
 def test_fraction_candidate_stream_equals_float(table, k, mode):
     """The ``Fraction`` guard branch of the candidate sort picks the same
-    balls as the float ``lexsort``."""
-    from repro.algorithms import center_cover
+    sets as the float ``lexsort``, for balls and for small subsets."""
+    from repro.algorithms import greedy_cover
 
     if table.n_rows < k:
         return
     backend = make_backend(table, "numpy")
-    expected = build_ball_cover(table, k, diameter_mode=mode, backend=backend)
-    original = center_cover.ratio_key
-    center_cover.ratio_key = lambda m, n: Fraction
+
+    def covers():
+        balls = build_ball_cover(table, k, diameter_mode=mode, backend=backend)
+        groups = [list(balls.groups)]
+        if table.n_rows <= 12 and k <= 3:
+            subsets = greedy_cover.build_greedy_cover(table, k, backend=backend)
+            groups.append(list(subsets.groups))
+        return groups
+
+    expected = covers()
+    original = greedy_cover.ratio_key
+    greedy_cover.ratio_key = lambda m, n: Fraction
     try:
-        got = build_ball_cover(table, k, diameter_mode=mode, backend=backend)
+        got = covers()
     finally:
-        center_cover.ratio_key = original
-    assert list(got.groups) == list(expected.groups)
+        greedy_cover.ratio_key = original
+    assert got == expected
