@@ -105,6 +105,15 @@ class Table:
         All values are kept as strings; callers needing typed columns
         should convert afterwards.
         """
+        # a cell is a span of the text less some quote characters, so
+        # a quote-free token absent from the quote-free text matches no
+        # cell and the per-cell compare can be skipped
+        starless = (
+            isinstance(text_or_file, str)
+            and star_token
+            and '"' not in star_token
+            and star_token not in text_or_file.replace('"', "")
+        )
         if isinstance(text_or_file, str):
             handle: io.TextIOBase = io.StringIO(text_or_file)
         else:
@@ -120,6 +129,8 @@ class Table:
         else:
             attributes = None
             body = lines
+        if starless:
+            return cls(body, attributes=attributes)
         rows = [
             tuple(STAR if cell == star_token else cell for cell in line)
             for line in body

@@ -40,10 +40,20 @@ Fleet behaviour:
   ring (its keys flow to their next ring owners), a later successful
   ping rejoins it (the keys flow back — consistent hashing keeps both
   moves minimal);
+* **stream reuse** — a forward checks an idle stream to its shard out
+  of a small pool (at most :data:`MAX_IDLE_STREAMS` per shard), sends
+  its line, reads one response line and checks the stream back in; no
+  stream ever carries two in-flight requests.  A stream goes back only
+  after a complete response; on any error or cancellation it is
+  closed.  An evicted shard's idle streams are closed, and so are all
+  of them when the router stops;
 * **per-request failover** — a connection failure while forwarding
   evicts the shard immediately and retries the next owner in the key's
   ring preference order; the response then carries ``rerouted: true``.
-  Every proxied response carries ``shard: "host:port"``;
+  A failure on a *reused* stream is not such evidence (the shard may
+  have restarted in place since the stream was opened): the request is
+  sent once more on a fresh connection, and only that one's failure
+  evicts.  Every proxied response carries ``shard: "host:port"``;
 * **fan-out ops** — ``stats`` queries every alive shard concurrently
   and merges the counters (:func:`merge_shard_stats`), answering the
   single-server stats shape plus a ``router`` section and per-shard
@@ -77,6 +87,12 @@ DEFAULT_ROUTER_PORT = 7690
 
 #: the background-thread front end serves a router like a shard
 RouterServer = ServiceServer
+
+#: most idle streams the router keeps open to one shard (a burst of
+#: concurrent forwards opens more; the excess is closed on check-in)
+MAX_IDLE_STREAMS = 8
+
+_Stream = tuple[asyncio.StreamReader, asyncio.StreamWriter]
 
 
 def parse_address(address: "str | tuple[str, int]") -> tuple[str, int]:
@@ -262,6 +278,12 @@ class ShardRouter:
             "health_checks", "evicted", "rejoined",
         )
         self._health_task: asyncio.Task | None = None
+        #: idle forward streams per shard, and the event loop they
+        #: belong to (a stream is useless to any other loop)
+        self._idle: dict[str, list[_Stream]] = {
+            addr: [] for addr in addresses
+        }
+        self._idle_loop: asyncio.AbstractEventLoop | None = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -283,7 +305,7 @@ class ShardRouter:
             self._health_task = asyncio.ensure_future(self._health_loop())
 
     async def stop(self) -> None:
-        """Stop the health sweep."""
+        """Stop the health sweep and close every idle shard stream."""
         if self._health_task is not None:
             self._health_task.cancel()
             try:
@@ -291,6 +313,9 @@ class ShardRouter:
             except asyncio.CancelledError:
                 pass
             self._health_task = None
+        for address in self._idle:
+            for _, writer in self._drop_idle(address):
+                await _closed(writer)
 
     # -- routing keys --------------------------------------------------
 
@@ -322,6 +347,7 @@ class ShardRouter:
     def _evict(self, address: str) -> None:
         state = self.shards[address]
         state.failures += 1
+        self._drop_idle(address)
         if state.alive:
             state.alive = False
             self.ring.remove(address)
@@ -342,58 +368,131 @@ class ShardRouter:
 
     # -- the wire to one shard -----------------------------------------
 
-    async def _exchange(
-        self, address: str, line: bytes, timeout: float | None = None
-    ) -> dict[str, Any]:
-        """One request/response round trip with the shard at *address*.
-
-        A fresh connection per forward: every in-flight request gets
-        its own stream into the shard's asyncio front end (a shard
-        serves each connection serially, so sharing one would serialize
-        the fleet), and failover never has to reason about half-dead
-        pooled sockets.  Opening the connection is bounded by
-        ``connect_timeout``; *timeout*, when given (health pings),
-        bounds the response wait too — forwards are otherwise never
-        timed out by the router, since solve budgets belong to shard
-        admission control.  Raises ``ConnectionError`` on any
-        transport, timeout, or framing failure.
-        """
+    async def _connect(self, address: str) -> _Stream:
+        """A fresh stream to *address*, bounded by ``connect_timeout``."""
         host, port = parse_address(address)
-        writer = None
         try:
-            reader, writer = await asyncio.wait_for(
+            return await asyncio.wait_for(
                 asyncio.open_connection(host, port, limit=MAX_LINE_BYTES),
                 self.connect_timeout,
             )
+        except asyncio.TimeoutError:
+            raise ConnectionError(f"shard {address} timed out") from None
+        except OSError as exc:
+            raise ConnectionError(f"shard {address}: {exc}") from exc
 
-            async def round_trip() -> bytes:
-                writer.write(line)
-                await writer.drain()
-                return await reader.readline()
+    @staticmethod
+    async def _round_trip(
+        address: str, stream: _Stream, line: bytes,
+        timeout: float | None = None,
+    ) -> dict[str, Any]:
+        """Send *line* and read one response line on *stream*.
 
+        *timeout*, when given (health pings), bounds the exchange;
+        forwards are otherwise never timed out by the router, since
+        solve budgets belong to shard admission control.  Raises
+        ``ConnectionError`` on any transport, timeout or framing
+        failure (an oversized line included).
+        """
+        reader, writer = stream
+
+        async def exchange() -> bytes:
+            writer.write(line)
+            await writer.drain()
+            return await reader.readline()
+
+        try:
             if timeout is not None:
-                raw = await asyncio.wait_for(round_trip(), timeout)
+                raw = await asyncio.wait_for(exchange(), timeout)
             else:
-                raw = await round_trip()
-            if not raw:
+                raw = await exchange()
+            if not raw.endswith(b"\n"):
                 raise ConnectionError(f"shard {address} closed the stream")
             response = json.loads(raw)
-            if not isinstance(response, dict):
-                raise ConnectionError(
-                    f"shard {address} sent a malformed response"
-                )
-            return response
         except asyncio.TimeoutError:
             raise ConnectionError(f"shard {address} timed out") from None
         except (OSError, ValueError) as exc:
             raise ConnectionError(f"shard {address}: {exc}") from exc
+        if not isinstance(response, dict):
+            raise ConnectionError(
+                f"shard {address} sent a malformed response"
+            )
+        return response
+
+    async def _exchange(
+        self, address: str, line: bytes, timeout: float | None = None
+    ) -> dict[str, Any]:
+        """One round trip with the shard at *address* on a fresh
+        connection, closed afterwards.
+
+        Health pings and the ``stats``/``shutdown`` fan-outs use it, so
+        they test the shard's listener, not a stream opened before the
+        shard last restarted.  Raises ``ConnectionError`` on failure.
+        """
+        stream = await self._connect(address)
+        try:
+            return await self._round_trip(address, stream, line, timeout)
         finally:
-            if writer is not None:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (OSError, ConnectionError):
-                    pass
+            await _closed(stream[1])
+
+    async def _send(self, address: str, line: bytes) -> dict[str, Any]:
+        """Forward *line* to *address* over a pooled stream.
+
+        An idle stream is checked out, or a fresh one opened.  A reused
+        stream that fails says nothing of the shard — it may have
+        restarted since — so the shard's other idle streams are dropped
+        as stale and the line is sent once more on a fresh connection,
+        whose failure raises ``ConnectionError``.
+        """
+        stream = self._check_out(address)
+        if stream is not None:
+            try:
+                return await self._use(address, stream, line)
+            except ConnectionError:
+                self._drop_idle(address)
+        return await self._use(address, await self._connect(address), line)
+
+    async def _use(
+        self, address: str, stream: _Stream, line: bytes
+    ) -> dict[str, Any]:
+        """One exchange on *stream*, which is checked back in only after
+        a complete response line and closed on any failure or
+        cancellation, or when the shard already has
+        :data:`MAX_IDLE_STREAMS` idle."""
+        try:
+            response = await self._round_trip(address, stream, line)
+        except BaseException:
+            stream[1].close()
+            raise
+        idle = self._idle[address]
+        if len(idle) < MAX_IDLE_STREAMS and self.shards[address].alive:
+            idle.append(stream)
+        else:
+            stream[1].close()
+        return response
+
+    def _check_out(self, address: str) -> _Stream | None:
+        """An open idle stream to *address* on this loop, if any."""
+        loop = asyncio.get_running_loop()
+        if self._idle_loop is not loop:
+            # streams of another (finished) loop can never be read
+            # again; they are dropped, not reused
+            self._idle = {addr: [] for addr in self._idle}
+            self._idle_loop = loop
+        idle = self._idle[address]
+        while idle:
+            reader, writer = idle.pop()
+            if not (reader.at_eof() or writer.is_closing()):
+                return reader, writer
+            writer.close()
+        return None
+
+    def _drop_idle(self, address: str) -> list[_Stream]:
+        """Close and forget *address*'s idle streams; returns them."""
+        dropped, self._idle[address] = self._idle[address], []
+        for _, writer in dropped:
+            writer.close()
+        return dropped
 
     # -- request handling ----------------------------------------------
 
@@ -518,7 +617,7 @@ class ShardRouter:
             if address not in self.ring:
                 continue  # evicted by a concurrent request's failover
             try:
-                response = await self._exchange(address, line)
+                response = await self._send(address, line)
             except ConnectionError as exc:
                 # connection-level failure only: a shard that ANSWERS
                 # with an error is healthy and must not be evicted
@@ -569,3 +668,12 @@ class ShardRouter:
                 self._evict(addr)
             verdict[addr] = healthy
         return verdict
+
+
+async def _closed(writer: asyncio.StreamWriter) -> None:
+    """Close *writer* and wait until its transport is gone."""
+    writer.close()
+    try:
+        await writer.wait_closed()
+    except (OSError, ConnectionError):
+        pass

@@ -158,7 +158,8 @@ class ServiceError(Exception):
 
 @dataclass(frozen=True)
 class _SolveTask:
-    csv: str
+    #: the request's CSV, or ``None`` when ``table`` carries its rows
+    csv: str | None
     header: bool
     k: int
     algorithm: str
@@ -179,6 +180,16 @@ class _SolveTask:
     #: picklable).  Delta solves run to completion — ``timeout`` governs
     #: queueing and coalescing, not the engine (not an anytime solver).
     state: dict | None = None
+    #: the table admission already parsed (then ``csv`` is ``None``),
+    #: so the solve never parses the request a second time
+    table: Table | None = None
+
+    def parsed(self) -> Table:
+        """The task's table, parsed here only if admission did not."""
+        if self.table is not None:
+            return self.table
+        assert self.csv is not None
+        return Table.from_csv(self.csv, header=self.header)
 
 
 def _kill_worker() -> None:
@@ -266,7 +277,7 @@ def _solve_instance(task: _SolveTask) -> dict[str, Any]:
     try:
         if task.fault == "kill-worker":
             _kill_worker()
-        table = Table.from_csv(task.csv, header=task.header)
+        table = task.parsed()
         algorithm = registry.create(task.algorithm)
         if task.algorithm == "incremental":
             # export the pre-finalize snapshot the ``delta`` verb continues
@@ -325,7 +336,7 @@ def _solve_delta(task: _SolveTask) -> dict[str, Any]:
         assert task.state is not None
         state = IncrementalState.from_dict(task.state)
         engine = IncrementalAnonymizer.from_state(state)
-        delta_table = Table.from_csv(task.csv, header=task.header)
+        delta_table = task.parsed()
         engine.insert(delta_table.rows)
         new_state = engine.export_state()
         engine.finalize()
@@ -483,8 +494,8 @@ class Admission:
     state_key: str | None = None
     #: table hash an ε charge books against (ε requests only)
     dataset: str | None = None
-    #: a delta's parsed rows (an ``anonymize`` keeps no table: its
-    #: facts may come from the memo without a parse)
+    #: the parsed table when admission parsed one (a delta, or an
+    #: ``anonymize`` whose facts missed the memo); ``None`` on a memo hit
     table: Table | None = None
 
 
@@ -520,9 +531,12 @@ def _parse(csv: str, header: bool) -> Table:
         raise ServiceError("bad-request", f"bad csv: {exc}") from None
 
 
-def _table_facts(csv: str, header: bool, with_sigma: bool) -> _TableFacts:
+def _table_facts(
+    csv: str, header: bool, with_sigma: bool
+) -> tuple[_TableFacts, Table | None]:
     """The request table's facts, parsed and hashed only on a memo miss
-    (or for σ the first time an ``auto`` request needs it).
+    (or for σ the first time an ``auto`` request needs it), and the
+    parsed table when there was a parse.
 
     Only a successful parse is remembered, so a bad CSV is rejected
     every time.  ``surrogatepass`` lets a lone surrogate, which JSON
@@ -536,6 +550,7 @@ def _table_facts(csv: str, header: bool, with_sigma: bool) -> _TableFacts:
     )
     with _table_memo_lock:
         facts = _table_memo.pop(fingerprint, None)
+    table = None
     if facts is None or (with_sigma and facts.sigma is None):
         table = _parse(csv, header)
         if facts is None:
@@ -546,7 +561,7 @@ def _table_facts(csv: str, header: bool, with_sigma: bool) -> _TableFacts:
         _table_memo[fingerprint] = facts
         while len(_table_memo) > ADMISSION_MEMO_SIZE:
             del _table_memo[next(iter(_table_memo))]
-    return facts
+    return facts, table
 
 
 @functools.lru_cache(maxsize=ADMISSION_MEMO_SIZE)
@@ -567,10 +582,11 @@ def admit(request: Any, backend: str) -> Admission:
     distance *backend* alone.  ``auto`` plans against the request's own
     ``timeout`` (or the planner's soft cap), never a server's cap, so
     router and shard resolve the same solver.  The table is parsed once
-    and hashed once; every key derives from that one hash.  A repeated
-    ``anonymize`` skips even that: its hash, shape and σ are remembered
-    by the digest of its CSV text, and an unbudgeted ``auto`` plan by
-    its instance features (both memos hold
+    and hashed once; every key derives from that one hash, and the
+    parsed table rides on the admission so the solve need not parse it
+    again.  A repeated ``anonymize`` skips even that: its hash, shape
+    and σ are remembered by the digest of its CSV text, and an
+    unbudgeted ``auto`` plan by its instance features (both memos hold
     :data:`ADMISSION_MEMO_SIZE` entries).  Every field is still
     validated on every request.
 
@@ -622,7 +638,7 @@ def admit(request: Any, backend: str) -> Admission:
             timeout=timeout, trace=trace,
         )
     name = request.get("algorithm", "center_cover")
-    facts = _table_facts(csv, header, with_sigma=name == "auto")
+    facts, table = _table_facts(csv, header, with_sigma=name == "auto")
     plan = None
     if name == "auto":
         # keyed (and cached) under the *resolved* algorithm, so an
@@ -663,7 +679,7 @@ def admit(request: Any, backend: str) -> Admission:
         state = _key_from_hash(digest, k, algorithm, backend, state=True)
     return Admission(
         op=op, routing_key=state or key, csv=csv, header=header,
-        k=k, algorithm=algorithm, timeout=timeout,
+        table=table, k=k, algorithm=algorithm, timeout=timeout,
         trace=trace, privacy=privacy, plan=plan, key=key, state_key=state,
         dataset=digest if privacy and "epsilon" in privacy else None,
     )
@@ -1018,7 +1034,9 @@ class AnonymizationService:
         epsilon = privacy.get("epsilon") if privacy is not None else None
         assert k is not None and key is not None
         task = _SolveTask(
-            csv=admission.csv, header=admission.header, k=k,
+            # the parsed table when there is one, else the text
+            csv=admission.csv if admission.table is None else None,
+            table=admission.table, header=admission.header, k=k,
             algorithm=admission.algorithm, backend=self.backend,
             timeout=timeout, trace=admission.trace,
             fault=self._admitted_fault(request),

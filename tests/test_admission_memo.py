@@ -203,4 +203,6 @@ def test_a_delta_still_carries_its_parsed_rows():
         {"op": "delta", "state_key": "0" * 32, "csv": CSV}, "python"
     )
     assert admission.table == Table.from_csv(CSV)
+    # an anonymize carries the table only when admission parsed one
+    assert admit(REQUESTS["center_cover"], "python").table == admission.table
     assert admit(REQUESTS["center_cover"], "python").table is None

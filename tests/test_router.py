@@ -10,6 +10,9 @@ them; the sweep itself is tested separately with a fast interval.
 from __future__ import annotations
 
 import asyncio
+import gc
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,6 +32,8 @@ from repro.service import (
     SolutionCache,
     merge_shard_stats,
 )
+from repro.service import router as router_module
+from repro.service import wire
 from repro.service.router import format_address, parse_address
 from repro.workloads import census_table, quasi_identifiers
 
@@ -450,6 +455,211 @@ class TestFleet:
             response = client.ping()
         assert response["router"] == {"shards_alive": 3,
                                       "shards_total": 3}
+
+
+# ----------------------------------------------------------------------
+# Pooled shard streams
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def accepts(monkeypatch):
+    """Connections accepted per front-end handler."""
+    counts: Counter = Counter()
+    handle = wire._handle_connection
+
+    def counting(handler, *args):
+        counts[handler] += 1
+        return handle(handler, *args)
+
+    monkeypatch.setattr(wire, "_handle_connection", counting)
+    return counts
+
+
+@pytest.fixture
+def shard():
+    """One live shard (fault injection on, for delayed answers)."""
+    server = ServiceServer(AnonymizationService(fault_injection=True))
+    address = format_address(server.start())
+    try:
+        yield server, address
+    finally:
+        server.stop()
+
+
+def solve_request(table: Table, **extra) -> dict:
+    return {"op": "anonymize", "csv": table.to_csv(), "k": 2, **extra}
+
+
+class _UnnoticedDeadWriter:
+    """The writer of a pooled stream whose peer went away unnoticed."""
+
+    def __init__(self):
+        self.closed = False
+
+    def write(self, data: bytes) -> None:
+        pass
+
+    async def drain(self) -> None:
+        pass
+
+    def is_closing(self) -> bool:
+        return self.closed
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class TestStreamPool:
+    def test_sequential_forwards_share_one_stream(self, shard, accepts):
+        server, address = shard
+        front = RouterServer(ShardRouter([address], health_interval=0.0))
+        front.start()
+        try:
+            with ServiceClient(*front.address) as client:
+                for table in tables(10, rows=8):
+                    assert client.anonymize(table, 2)["cache"] == "miss"
+            assert accepts[server.handler] == 1
+        finally:
+            front.stop()
+
+    def test_a_shard_restarted_in_place_serves_its_next_request(self):
+        server = ServiceServer()
+        address = format_address(server.start())
+        router = ShardRouter([address], health_interval=0.0)
+        front = RouterServer(router)
+        front.start()
+        first, second = tables(2, rows=8)
+        try:
+            with ServiceClient(*front.address) as client:
+                assert client.anonymize(first, 2)["cache"] == "miss"
+                server.stop()
+                server = ServiceServer(port=parse_address(address)[1])
+                server.start()
+                response = client.anonymize(second, 2)
+            assert response["cache"] == "miss"
+            assert response["shard"] == address
+            assert "rerouted" not in response
+            assert router.shards[address].alive
+            assert router.counters["evicted"] == 0
+            assert server.handler.requests == {"anonymize": 1}
+        finally:
+            front.stop()
+            server.stop()
+
+    def test_a_failed_reused_stream_is_resent_on_a_fresh_one(
+        self, shard, accepts
+    ):
+        server, address = shard
+        first, second = tables(2, rows=8)
+        dead = _UnnoticedDeadWriter()
+
+        async def scenario():
+            router = ShardRouter([address], health_interval=0.0)
+            await router.handle(solve_request(first))
+            pooled = list(router._idle[address])
+            stale = asyncio.StreamReader()
+            stale.feed_data(b'{"ok": tr')  # cut off mid-response
+            stale.feed_eof()
+            router._idle[address].append((stale, dead))
+            response = await router.handle(solve_request(second))
+            await router.stop()
+            return router, pooled, response
+
+        router, pooled, response = asyncio.run(scenario())
+        assert response["ok"] and response["shard"] == address
+        assert "rerouted" not in response
+        assert router.counters["evicted"] == router.counters["failovers"] == 0
+        assert dead.closed
+        # the other idle stream was dropped as stale too
+        assert all(writer.is_closing() for _, writer in pooled)
+        assert accepts[server.handler] == 2
+
+    def test_a_burst_leaves_at_most_the_cap_idle(
+        self, shard, accepts, monkeypatch
+    ):
+        server, address = shard
+        monkeypatch.setattr(router_module, "MAX_IDLE_STREAMS", 2)
+        requests = [solve_request(table) for table in tables(6, rows=8)]
+
+        async def burst():
+            router = ShardRouter([address], health_interval=0.0)
+            responses = await asyncio.gather(
+                *(router.handle(request) for request in requests)
+            )
+            idle = len(router._idle[address])
+            await router.stop()
+            return responses, idle
+
+        responses, idle = asyncio.run(burst())
+        assert all(response["ok"] for response in responses)
+        assert accepts[server.handler] == len(requests)
+        assert idle == 2
+
+    def test_eviction_and_stop_close_idle_streams(self):
+        servers = [ServiceServer() for _ in range(2)]
+        addresses = [format_address(server.start()) for server in servers]
+        ping = b'{"op": "ping"}\n'
+
+        async def scenario():
+            router = ShardRouter(addresses, health_interval=0.0)
+            for address in addresses:
+                await asyncio.gather(
+                    *(router._send(address, ping) for _ in range(3))
+                )
+            pooled = {addr: list(router._idle[addr]) for addr in addresses}
+            assert all(len(streams) == 3 for streams in pooled.values())
+            victim, survivor = addresses
+            router._evict(victim)
+            assert router._idle[victim] == []
+            assert all(w.is_closing() for _, w in pooled[victim])
+            assert not any(w.is_closing() for _, w in pooled[survivor])
+            await router.stop()
+            assert all(not idle for idle in router._idle.values())
+            assert all(w.is_closing() for _, w in pooled[survivor])
+
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                asyncio.run(scenario())
+                gc.collect()
+        finally:
+            for server in servers:
+                server.stop()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+    def test_a_router_serves_a_second_event_loop(self, shard):
+        """Streams pooled on a finished loop are dropped, not reused."""
+        _, address = shard
+        router = ShardRouter([address], health_interval=0.0)
+        request = solve_request(tables(1, rows=8)[0])
+        assert asyncio.run(router.handle(request))["ok"]
+        assert asyncio.run(router.handle(request))["cache"] == "hit"
+
+    def test_a_cancelled_forward_never_returns_its_stream(self, shard):
+        server, address = shard
+        first, second = tables(2, rows=8)
+
+        async def scenario():
+            router = ShardRouter([address], health_interval=0.0)
+            slow = asyncio.ensure_future(
+                router.handle(solve_request(first, fault="delay:0.5"))
+            )
+            await asyncio.sleep(0.2)  # the request is at the shard
+            slow.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await slow
+            idle = len(router._idle[address])
+            answer = await router.handle(solve_request(second))
+            await router.stop()
+            return idle, answer
+
+        idle, answer = asyncio.run(scenario())
+        assert idle == 0
+        with ServiceClient(*parse_address(address)) as client:
+            assert answer["csv"] == client.anonymize(second, 2)["csv"]
+            assert answer["csv"] != client.anonymize(first, 2)["csv"]
 
 
 class TestClientFallbacks:

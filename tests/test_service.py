@@ -338,6 +338,20 @@ class TestAdmissionControl:
         assert stats["planned"] == 1
         assert stats["batches"]["count"] == 1
 
+    @pytest.mark.parametrize("algorithm", [
+        "auto", "branch_bound", "exact", "small_m", "fpt_suppression",
+    ])
+    def test_exact_solvers_serve_a_table_that_holds_stars(self, algorithm):
+        """The exact solvers' self-checks compare the partition's ANON
+        cost, not the release's stars, with the optimum: an input ``*``
+        in an agreeing column is kept, so it is a star but no cost."""
+        request = {"op": "anonymize", "csv": "a,b\n*,1\n*,2\n", "k": 1,
+                   "algorithm": algorithm}
+        (response,) = run(_served(AnonymizationService(), request))
+        assert response["ok"], response
+        assert response["csv"] == "a,b\n*,1\n*,2\n"
+        assert response["stars"] == 2
+
     def test_auto_on_a_header_only_table_is_served(self):
         service = AnonymizationService()
         auto, explicit = run(_served(

@@ -1,8 +1,14 @@
 """Tests for repro.core.table.Table."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.artifacts import table_hash
 from repro.core.alphabet import STAR
 from repro.core.table import Table, rows_as_int_array
 
@@ -98,6 +104,70 @@ class TestCsv:
         # by convention the token parses as suppression.
         t = Table.from_csv("v\n*\n")
         assert t[0][0] is STAR
+
+
+#: cells that sit close to the star token: stars, padded stars, quotes,
+#: commas and line breaks that only quoting keeps inside one cell
+_CELLS = st.sampled_from([
+    "*", "**", " *", "* ", "", '"', '"*"', "*,*", "a,b", "*\n", "x\r\ny",
+    '""', "?*", "x",
+])
+#: raw text from the same characters, including quoting csv.writer never
+#: emits (``"?"*`` parses to ``?*``)
+_RAW = st.lists(
+    st.sampled_from(['"', '"?"', '"*"', "*", "?", "a", ",", " ", "\n",
+                     "\r\n"]),
+    max_size=16,
+).map("".join)
+
+
+def _per_cell(text, header, star_token):
+    """The reference parse: every cell compared with the token."""
+    lines = [line for line in csv.reader(io.StringIO(text)) if line]
+    if not lines:
+        raise ValueError("empty CSV input")
+    body = lines[1:] if header else lines
+    rows = [tuple(STAR if cell == star_token else cell for cell in line)
+            for line in body]
+    return Table(rows, attributes=lines[0] if header else None)
+
+
+def _outcome(parse):
+    try:
+        table = parse()
+    except (ValueError, csv.Error) as exc:
+        return type(exc)
+    return table.rows, table.attributes, table_hash(table)
+
+
+@st.composite
+def _csv_texts(draw):
+    if draw(st.booleans()):
+        return draw(_RAW)
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width),
+                         min_size=1, max_size=5))
+    out = io.StringIO()
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    csv.writer(out, quoting=quoting).writerows(rows)
+    return out.getvalue()
+
+
+class TestCsvStarlessFastPath:
+    """A token absent from the text skips the per-cell compare; the
+    rows and the table hash must not change."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_csv_texts(), st.sampled_from(["*", "?*", "", '*"']),
+           st.booleans())
+    @example('v\n"*"\n', "*", True)
+    @example('"?"*\n', "?*", False)  # the cell ``?*`` is no substring
+    def test_equals_the_per_cell_parse(self, text, star_token, header):
+        expected = _outcome(lambda: _per_cell(text, header, star_token))
+        for source in (text, io.StringIO(text)):
+            assert _outcome(lambda: Table.from_csv(
+                source, header=header, star_token=star_token,
+            )) == expected
 
 
 class TestAccessors:
