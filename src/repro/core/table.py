@@ -232,8 +232,15 @@ class Table:
         writer = csv.writer(buffer, lineterminator="\n")
         if header:
             writer.writerow(self._attributes)
-        for row in self._rows:
-            writer.writerow([star_token if cell is STAR else cell for cell in row])
+        if star_token == str(STAR):
+            # the writer renders a non-string cell by ``str()``, so STAR
+            # already comes out as the token
+            writer.writerows(self._rows)
+        else:
+            for row in self._rows:
+                writer.writerow(
+                    [star_token if cell is STAR else cell for cell in row]
+                )
         return buffer.getvalue()
 
     def pretty(self, max_rows: int = 30) -> str:

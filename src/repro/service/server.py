@@ -119,7 +119,6 @@ from repro.algorithms.incremental import (
     IncrementalState,
 )
 from repro.artifacts import _key_from_hash, table_hash
-from repro.core.anonymity import suppressed_cell_count
 from repro.core.backend import default_backend_name
 from repro.core.table import Table
 from repro.experiments import WorkerPool, run_tasks
@@ -175,14 +174,18 @@ class _SolveTask:
     #: deterministic DP noise seed, derived from the instance key so a
     #: re-solve of the same keyed instance re-releases the same noise
     dp_seed: int | None = None
-    #: a ``delta`` task: the stored :meth:`IncrementalState.as_dict`
-    #: snapshot that ``csv`` extends (plain JSON data, so the task stays
+    #: a ``delta`` task: the stored snapshot that ``csv`` extends, as
+    #: admission already decoded it (tuples of cells, so the task stays
     #: picklable).  Delta solves run to completion — ``timeout`` governs
     #: queueing and coalescing, not the engine (not an anytime solver).
-    state: dict | None = None
+    state: IncrementalState | None = None
     #: the table admission already parsed (then ``csv`` is ``None``),
     #: so the solve never parses the request a second time
     table: Table | None = None
+    #: export the continuation snapshot of an incremental or delta
+    #: solve; off when no sharer of the job will store it (a request
+    #: that bypasses the cache)
+    keep_state: bool = True
 
     def parsed(self) -> Table:
         """The task's table, parsed here only if admission did not."""
@@ -281,7 +284,7 @@ def _solve_instance(task: _SolveTask) -> dict[str, Any]:
         algorithm = registry.create(task.algorithm)
         if task.algorithm == "incremental":
             # export the pre-finalize snapshot the ``delta`` verb continues
-            algorithm.capture_state = True
+            algorithm.capture_state = task.keep_state
         if task.privacy is not None:
             result, dp = _solve_with_privacy(table, algorithm, task)
         else:
@@ -333,12 +336,12 @@ def _solve_delta(task: _SolveTask) -> dict[str, Any]:
     try:
         if task.fault == "kill-worker":
             _kill_worker()
-        assert task.state is not None
-        state = IncrementalState.from_dict(task.state)
+        state = task.state
+        assert state is not None
         engine = IncrementalAnonymizer.from_state(state)
         delta_table = task.parsed()
         engine.insert(delta_table.rows)
-        new_state = engine.export_state()
+        new_state = engine.export_state() if task.keep_state else None
         engine.finalize()
         released = engine.released()
     except ValueError as exc:
@@ -355,14 +358,14 @@ def _solve_delta(task: _SolveTask) -> dict[str, Any]:
     )
     return {
         "csv": released.to_csv(header=task.header),
-        "stars": suppressed_cell_count(released),
+        "stars": engine.total_stars(),
         "algorithm": "incremental",
         "k": task.k,
         "backend": task.backend,
         "deadline_hit": False,
         "solve_seconds": time.perf_counter() - started,
         "trace": None,
-        "state": new_state.as_dict(),
+        "state": new_state.as_dict() if new_state is not None else None,
         "cap_exceeded": engine.cap_exceeded,
         "delta": {
             "rows_added": delta_table.n_rows,
@@ -946,6 +949,9 @@ class AnonymizationService:
         if job.task.fault is not None:
             # a fault-injected request must reach the solver to matter
             use_cache = False
+        if not use_cache:
+            # nothing will store this job's snapshot
+            job.task = replace(job.task, keep_state=False)
 
         if use_cache:
             cached = self.cache.get(job.key)
@@ -1063,9 +1069,10 @@ class AnonymizationService:
 
     def _continuation(
         self, admission: Admission
-    ) -> tuple[dict, int, str, str]:
-        """The stored snapshot a delta continues, the stream's ``k``,
-        and the **grown** table's instance and state keys.
+    ) -> tuple[IncrementalState, int, str, str]:
+        """The stored snapshot a delta continues (decoded once, here),
+        the stream's ``k``, and the **grown** table's instance and state
+        keys.
 
         Stored prefix rows plus delta rows key exactly like a cold
         ``anonymize`` of the full table, so chains compose and repeated
@@ -1123,7 +1130,7 @@ class AnonymizationService:
             Table(state.rows + rows.rows, attributes=state.attributes)
         )
         return (
-            entry["state"], k,
+            state, k,
             _key_from_hash(digest, k, "incremental", self.backend),
             _key_from_hash(
                 digest, k, "incremental", self.backend, state=True
@@ -1282,9 +1289,9 @@ class AnonymizationService:
         group — unlimited if any sharer is unlimited, else the largest
         remaining allowance.  (Solving under the first arrival's budget
         would let a stranger's tight deadline fail, or
-        deadline-degrade, everyone else's identical request.)  Tracing
-        and fault markers are likewise merged with "any sharer asked"
-        semantics.  The merge keeps each task's other fields
+        deadline-degrade, everyone else's identical request.)  Tracing,
+        fault markers and snapshot export are likewise merged with "any
+        sharer asked" semantics.  The merge keeps each task's other fields
         (``dataclasses.replace``), so anonymize and delta tasks both
         pass through — and since a delta job is keyed by its *grown* table, a delta
         can share a key with a cold solve of the same full table, in
@@ -1311,6 +1318,7 @@ class AnonymizationService:
                     (job.task.fault for job in sharers if job.task.fault),
                     None,
                 ),
+                keep_state=any(job.task.keep_state for job in sharers),
             ))
         return keys, tasks
 

@@ -26,6 +26,7 @@ from repro.service import (
     ServiceError,
     ServiceServer,
 )
+from repro.service.server import _solve_task, _SolveTask
 from repro.workloads import census_table, quasi_identifiers
 
 
@@ -211,6 +212,63 @@ class TestDeltaCore:
         assert kinds == ["coalesced", "miss"]
         assert len({r["csv"] for r in responses}) == 1
         assert len({r["state_key"] for r in responses}) == 1
+
+
+class TestSnapshotExport:
+    """A solve exports its continuation snapshot only when some sharer
+    of the job will store it."""
+
+    def test_bypassing_solve_and_delta_export_nothing(self):
+        base, delta, grown = grown_pair()
+        service = AnonymizationService()
+        solve, bypass, growth = run(_served(
+            service,
+            _solve_request(base),
+            dict(_solve_request(grown), use_cache=False),
+            {"op": "delta", "state_key": state_key(
+                base, 3, "incremental", service.backend
+            ), "csv": delta.to_csv(), "use_cache": False},
+        ))
+        assert bypass["ok"] and growth["ok"]
+        assert "state_key" not in bypass and "state_key" not in growth
+        assert state_key(
+            grown, 3, "incremental", service.backend
+        ) not in service.cache
+        assert growth["csv"] == bypass["csv"]
+
+    @pytest.mark.parametrize("keep_state", [True, False])
+    def test_solve_task_exports_only_when_asked(self, keep_state):
+        base, _, _ = grown_pair()
+        outcome = _solve_task(_SolveTask(
+            csv=base.to_csv(), header=True, k=3, algorithm="incremental",
+            backend="python", timeout=None, trace=False,
+            keep_state=keep_state,
+        ))
+        assert (outcome["state"] is not None) is keep_state
+
+    def test_bypassing_sharer_keeps_a_caching_sharers_snapshot(self):
+        base, _, _ = grown_pair()
+
+        async def scenario():
+            service = AnonymizationService(batch_window=0.05)
+            try:
+                responses = await asyncio.gather(
+                    service.handle(dict(_solve_request(base),
+                                        use_cache=False)),
+                    service.handle(_solve_request(base)),
+                )
+            finally:
+                await service.stop()
+            return responses, service
+
+        (bypass, cached), service = run(scenario())
+        batches = service.stats()["batches"]
+        assert (batches["count"], batches["max_size"]) == (1, 2)
+        assert bypass["cache"] == "bypass" and cached["cache"] == "miss"
+        assert cached["state_key"] == state_key(
+            base, 3, "incremental", service.backend
+        )
+        assert cached["state_key"] in service.cache
 
 
 class TestDeltaRejections:

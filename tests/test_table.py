@@ -170,6 +170,39 @@ class TestCsvStarlessFastPath:
             )) == expected
 
 
+def _per_cell_render(table, header, star_token):
+    """The reference render: every STAR cell replaced by the token."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if header:
+        writer.writerow(table.attributes)
+    for row in table.rows:
+        writer.writerow([star_token if cell is STAR else cell for cell in row])
+    return out.getvalue()
+
+
+class TestCsvRender:
+    """With the default token, rows go to the writer as they are (it
+    renders STAR by ``str``); the text must not change."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda width: st.lists(
+            st.tuples(*[st.one_of(
+                st.just(STAR), st.integers(-5, 5),
+                st.floats(allow_nan=True), st.booleans(), _CELLS,
+            )] * width),
+            max_size=5,
+        )),
+        st.booleans(), st.sampled_from(["*", "?", '"*"']),
+    )
+    def test_equals_the_per_cell_render(self, rows, header, star_token):
+        table = Table(rows, attributes=None)
+        assert table.to_csv(header=header, star_token=star_token) == (
+            _per_cell_render(table, header, star_token)
+        )
+
+
 class TestAccessors:
     def test_iteration_and_indexing(self):
         t = Table([(1,), (2,)])
