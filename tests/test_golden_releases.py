@@ -10,7 +10,9 @@ two 300x6 entries were recorded later, before the greedy's candidates
 became one sorted stream and the split and suppression moved onto
 index and code arrays.  Any change to a solver's output fails here, on
 every backend.  The incremental entries hash a solve and two chained
-deltas, release CSVs and snapshot JSON alike.
+deltas, release CSVs and snapshot JSON alike.  The 600-row entries were
+recorded from the per-cell ``setdefault`` encode, the fully sorted
+candidate stream and the per-star row copy.
 
 Regenerate only for an intended change of release, never to make a
 refactor pass: ``python -m tests.test_golden_releases`` prints the
@@ -32,6 +34,16 @@ from repro.core.alphabet import STAR
 from repro.core.backend import available_backends
 from repro.core.table import Table
 from repro.workloads import census_table, quasi_identifiers, uniform_table
+
+def _with_id_column(table: Table) -> Table:
+    """*table*'s quasi-identifiers plus a column of distinct values."""
+    base = quasi_identifiers(table)
+    n = base.n_rows
+    return Table(
+        [row + (f"p{(i * 7) % n}",) for i, row in enumerate(base.rows)],
+        attributes=list(base.attributes) + ["person"],
+    )
+
 
 #: (id, algorithm, table factory, k, sha256 of the release CSV); the
 #: algorithm is a registry name or a factory of a configured instance
@@ -55,6 +67,19 @@ GOLDEN = [
      lambda: CenterCoverAnonymizer(diameter_mode="exact"),
      lambda: uniform_table(300, 6, alphabet_size=2, seed=1), 4,
      "18c66f4888f25d987b9d7441b641cf45b39243232db4758cda42a12887d15d85"),
+    # 5,712 candidates and 2,122 pops: the greedy streams far past the
+    # first chunk of candidates, in both diameter modes
+    ("center_cover-binary-600x10",
+     "center_cover", lambda: uniform_table(600, 10, alphabet_size=2, seed=2), 3,
+     "29c5413f32ef55aa605fb5cd25481deeb9346acf8b8daa73269bb1b59a96379a"),
+    ("center_cover-exact-binary-600x10",
+     lambda: CenterCoverAnonymizer(diameter_mode="exact"),
+     lambda: uniform_table(600, 10, alphabet_size=2, seed=2), 3,
+     "29c5413f32ef55aa605fb5cd25481deeb9346acf8b8daa73269bb1b59a96379a"),
+    # a column of 600 distinct values takes 16-bit codes
+    ("center_cover-census-600-ids",
+     "center_cover", lambda: _with_id_column(census_table(600, seed=16)), 5,
+     "bfde8eb0065e95d693be2f8ae0e39baa58c78da1a624d096fb514902a4552192"),
     ("reduce_cover-census-300",
      "reduce_cover", lambda: quasi_identifiers(census_table(300, seed=4)), 4,
      "e9d436a2045efe8ab79a7bafe0723250d1f099e710f27605adf01b6aaa23e76f"),
@@ -100,6 +125,7 @@ GOLDEN = [
 #: exact-mode diameters take seconds on the 300x6 instance)
 _PYTHON_OK = {
     "center_cover-census-300", "center_cover-binary-300x6",
+    "center_cover-binary-600x10", "center_cover-census-600-ids",
     "reduce_cover-census-300",
     "kmember-census-120", "kmember-binary-90x24", "mst_forest-census-150",
     "topdown_greedy-census-150", "topdown_greedy-binary-120x32",

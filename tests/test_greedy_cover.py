@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations
+from operator import truediv
 
 import numpy as np
 import pytest
@@ -79,6 +80,138 @@ def test_greedy_cover_equals_eager_reference(instance, chunk):
             assert [list(g) for g in cover.groups] == expected
     finally:
         greedy_cover._CHUNK = original
+
+
+def full_sort_greedy_cover(m, n, d, sizes, members_of, rescore=None,
+                           member_rows=None):
+    """The lazy greedy as it was before the head-only sort: one lexsort
+    of every candidate up front, streamed ``_CHUNK`` at a time."""
+    import heapq
+
+    from repro.algorithms import greedy_cover
+
+    chunk = greedy_cover._CHUNK
+    ratio = greedy_cover.ratio_key(m, n)
+    ratios = d / sizes if ratio is truediv else np.array(
+        list(map(ratio, d.tolist(), sizes.tolist())), dtype=object)
+    order = np.lexsort((d, ratios))
+    uncovered = [True] * n
+    requeued = []
+
+    def candidates():
+        for start in range(0, len(order), chunk):
+            taken = order[start:start + chunk]
+            if member_rows is not None:
+                flags = np.array(uncovered + [False])
+                newly = np.count_nonzero(flags[member_rows[taken]], axis=1)
+                whole = newly == sizes[taken]
+                partly = ~whole & (newly > 0)
+                cut = d[taken[partly]].tolist()
+                for entry in zip(map(ratio, cut, newly[partly].tolist()), cut,
+                                 taken[partly].tolist()):
+                    heapq.heappush(requeued, entry)
+                taken = taken[whole]
+            yield from zip(ratios[taken].tolist(), d[taken].tolist(),
+                           taken.tolist())
+
+    stream = candidates()
+    upcoming = next(stream, None)
+    remaining = n
+    chosen = []
+    while remaining:
+        first = not requeued or (upcoming is not None and upcoming < requeued[0])
+        if first:
+            _, diameter, i = upcoming
+            upcoming = next(stream, None)
+        else:
+            _, diameter, i = heapq.heappop(requeued)
+        members = members_of(i)
+        newly = sum(1 for v in members if uncovered[v])
+        if newly == 0:
+            continue
+        if first and rescore is not None:
+            diameter = rescore(members)
+        entry = (ratio(diameter, newly), diameter, i)
+        if (requeued and entry > requeued[0]) or (
+            upcoming is not None and entry > upcoming
+        ):
+            heapq.heappush(requeued, entry)
+            continue
+        chosen.append(frozenset(members))
+        for v in members:
+            uncovered[v] = False
+        remaining -= newly
+    return chosen
+
+
+def _synthetic_candidates(seed, n, count, spread):
+    """``(d, sizes, member_rows)`` of *count* random subsets of ``0..n-1``
+    plus the whole set last.  Diameters in ``0..spread`` and sizes in
+    ``1..4`` give few distinct ratios, so ties straddle any cut."""
+    rng = np.random.default_rng(seed)
+    width = max(4, n)
+    rows = np.full((count + 1, width), -1, dtype=np.int64)
+    sizes = rng.integers(1, min(4, n) + 1, size=count + 1)
+    sizes[-1] = n
+    for i, size in enumerate(sizes.tolist()):
+        rows[i, :size] = rng.permutation(n)[:size] if i < count else range(n)
+    d = rng.integers(0, spread + 1, size=count + 1)
+    d[-1] = spread + 1
+    return d, sizes, rows
+
+
+@given(st.integers(0, 2 ** 16), st.sampled_from([3, 12, 40]),
+       st.sampled_from([1, 30, 1500]), st.sampled_from([0, 2, 6]),
+       st.sampled_from([1024, 7, 1]), st.sampled_from(["ball", "subset"]),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_head_sort_equals_full_sort(seed, n, count, spread, chunk, mode,
+                                    rescored):
+    """Sorting only the candidates up to the ``_CHUNK``-th least ratio
+    picks exactly what one full lexsort picks, in ball mode (with and
+    without a first-pop rescore) and in subset mode."""
+    from repro.algorithms import greedy_cover
+
+    d, sizes, rows = _synthetic_candidates(seed, n, count, spread)
+    kwargs = {"member_rows": rows} if mode == "subset" else {
+        "rescore": (lambda members: max(members) % 3) if rescored else None}
+
+    def members_of(i):
+        return rows[i, :sizes[i]].tolist()
+
+    original = greedy_cover._CHUNK
+    greedy_cover._CHUNK = chunk
+    try:
+        expected = full_sort_greedy_cover(8, n, d, sizes, members_of, **kwargs)
+        got = greedy_cover.lazy_greedy_cover(8, n, d, sizes, members_of,
+                                             **kwargs)
+    finally:
+        greedy_cover._CHUNK = original
+    assert got == expected
+
+
+@pytest.mark.parametrize("chunk", [1024, 7, 1])
+def test_head_sort_with_every_ratio_tied(chunk):
+    """One ratio for every candidate: the cut ties with all of them, so
+    the whole stream is the head, ordered by diameter then index."""
+    from repro.algorithms import greedy_cover
+
+    n = 40
+    d = np.array([2, 4, 6, 8] * 600, dtype=np.int64)
+    sizes = d // 2
+    rng = np.random.default_rng(7)
+    members = [rng.permutation(n)[:size].tolist() for size in sizes.tolist()]
+    members[-1] = list(range(n))
+    sizes[-1], d[-1] = n, 2 * n
+    original = greedy_cover._CHUNK
+    greedy_cover._CHUNK = chunk
+    try:
+        expected = full_sort_greedy_cover(8, n, d, sizes, members.__getitem__)
+        got = greedy_cover.lazy_greedy_cover(8, n, d, sizes,
+                                             members.__getitem__)
+    finally:
+        greedy_cover._CHUNK = original
+    assert got == expected
 
 
 class TestBuildGreedyCover:
