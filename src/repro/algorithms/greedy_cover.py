@@ -77,33 +77,44 @@ def lazy_greedy_cover(
     ratio = ratio_key(m, n)
     ratios = d / sizes if ratio is truediv else np.array(
         list(map(ratio, d.tolist(), sizes.tolist())), dtype=object)
-    # heap entries are (ratio, d, i): the index breaks ties, so one stable
-    # lexsort on (ratio, d) orders them
-    order = np.lexsort((d, ratios))
     uncovered = [True] * n
     # Candidates re-queued with a larger ratio go to a side heap, and a
     # pop takes the smaller of the two heads: the least stored key of
     # all, as one heap holding every candidate would.
     requeued: list[tuple] = []
 
+    def ordered():
+        # heap entries are (ratio, d, i): the index breaks ties, so a
+        # stable lexsort on (ratio, d) of indices in ascending order
+        # orders them.  Every ratio up to the _CHUNK-th least comes before
+        # every larger one, so those are sorted first and the rest only
+        # if the greedy gets that far.
+        if ratio is not truediv or len(ratios) <= _CHUNK:
+            yield np.lexsort((d, ratios))
+            return
+        head = ratios <= np.partition(ratios, _CHUNK - 1)[_CHUNK - 1]
+        for part in (np.flatnonzero(head), np.flatnonzero(~head)):
+            yield part[np.lexsort((d[part], ratios[part]))]
+
     def candidates():
-        for start in range(0, len(order), _CHUNK):
-            taken = order[start:start + _CHUNK]
-            if member_rows is not None:
-                # a candidate with no uncovered member is dropped, and one
-                # with some covered goes to the side heap under its
-                # current ratio; the last flag is the row a -1 pad reads
-                flags = np.array(uncovered + [False])
-                newly = np.count_nonzero(flags[member_rows[taken]], axis=1)
-                whole = newly == sizes[taken]
-                partly = ~whole & (newly > 0)
-                cut = d[taken[partly]].tolist()
-                for entry in zip(map(ratio, cut, newly[partly].tolist()), cut,
-                                 taken[partly].tolist()):
-                    heapq.heappush(requeued, entry)
-                taken = taken[whole]
-            yield from zip(ratios[taken].tolist(), d[taken].tolist(),
-                           taken.tolist())
+        for order in ordered():
+            for start in range(0, len(order), _CHUNK):
+                taken = order[start:start + _CHUNK]
+                if member_rows is not None:
+                    # a candidate with no uncovered member is dropped, and one
+                    # with some covered goes to the side heap under its
+                    # current ratio; the last flag is the row a -1 pad reads
+                    flags = np.array(uncovered + [False])
+                    newly = np.count_nonzero(flags[member_rows[taken]], axis=1)
+                    whole = newly == sizes[taken]
+                    partly = ~whole & (newly > 0)
+                    cut = d[taken[partly]].tolist()
+                    for entry in zip(map(ratio, cut, newly[partly].tolist()), cut,
+                                     taken[partly].tolist()):
+                        heapq.heappush(requeued, entry)
+                    taken = taken[whole]
+                yield from zip(ratios[taken].tolist(), d[taken].tolist(),
+                               taken.tolist())
 
     stream = candidates()
     upcoming = next(stream, None)

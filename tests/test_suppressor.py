@@ -1,6 +1,8 @@
 """Tests for repro.core.suppressor.Suppressor (Definition 2.1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.alphabet import STAR
 from repro.core.suppressor import Suppressor
@@ -10,6 +12,40 @@ from repro.core.table import Table
 @pytest.fixture
 def table():
     return Table([(1, 2, 3), (4, 5, 6)], attributes=["a", "b", "c"])
+
+
+@st.composite
+def _starred_tables(draw):
+    """A table of mixed cells and a star set per row, of any size."""
+    m = draw(st.integers(0, 9))
+    n = draw(st.integers(0, 6))
+    cells = st.sampled_from([STAR, 0, 1, 1.0, "a", None, float("nan")])
+    rows = [tuple(draw(cells) for _ in range(m)) for _ in range(n)]
+    shared = draw(st.sets(st.integers(0, m - 1))) if m else set()
+    starred = {
+        i: draw(st.one_of(st.just(shared), st.sets(st.integers(0, m - 1))))
+        for i in range(n) if m and draw(st.booleans())
+    }
+    return Table(rows, attributes=[f"a{j}" for j in range(m)]), starred
+
+
+@given(_starred_tables())
+@settings(max_examples=200, deadline=None)
+def test_apply_equals_per_star_reference(case):
+    """Rows starred on most columns are built from their kept cells;
+    the release is the per-star copy's, cell for cell and object for
+    object."""
+    table, starred = case
+    expected = [
+        tuple(STAR if j in starred.get(i, ()) else cell
+              for j, cell in enumerate(row))
+        for i, row in enumerate(table.rows)
+    ]
+    got = Suppressor(starred, table.n_rows, table.degree).apply(table).rows
+    assert len(got) == len(expected)
+    for row, want in zip(got, expected):
+        assert len(row) == len(want)
+        assert all(a is b for a, b in zip(row, want))
 
 
 class TestConstruction:
