@@ -81,7 +81,7 @@ def _solve_batch(jobs: int, tables) -> tuple[list, float]:
 
     async def scenario():
         service = AnonymizationService(
-            jobs=jobs, batch_window=0.2, max_batch=len(tables),
+            jobs=jobs, max_batch=len(tables),
         )
         try:
             return await asyncio.gather(*(

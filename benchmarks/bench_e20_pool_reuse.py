@@ -51,7 +51,7 @@ def _phase(persistent: bool) -> tuple[list, float]:
         for seed in range(BATCH_SIZE)
     ]
     service = AnonymizationService(
-        jobs=2, batch_window=0.05, max_batch=BATCH_SIZE,
+        jobs=2, max_batch=BATCH_SIZE,
         persistent_pool=persistent,
     )
 

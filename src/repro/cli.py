@@ -187,17 +187,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per dispatched batch (default: 1)",
+        help="worker processes; with N > 1 each cache miss is sent to "
+             "an idle worker as soon as one is free (default: 1, solve "
+             "in-process)",
     )
     serve.add_argument(
         "--max-batch", type=int, default=16, metavar="N",
-        help="most requests dispatched per batch (default: 16)",
-    )
-    serve.add_argument(
-        "--batch-window", type=float, default=0.005, metavar="SECONDS",
-        help="how long a batch may wait for arrivals to fill idle "
-             "workers; a batch with a job per worker dispatches at "
-             "once (default: 0.005)",
+        help="most queued requests one dispatch takes with --jobs 1 or "
+             "--per-batch-pool (default: 16)",
     )
     serve.add_argument(
         "--cache-size", type=int, default=256, metavar="N",
@@ -611,7 +608,6 @@ def _serve(args) -> int:
         cache_dir=args.cache_dir,
         jobs=args.jobs,
         max_batch=args.max_batch,
-        batch_window=args.batch_window,
         backend=args.backend,
         max_timeout=args.max_timeout,
         persistent_pool=not args.per_batch_pool,

@@ -99,15 +99,23 @@ class Suppressor:
         """
         if original.n_rows != anonymized.n_rows or original.degree != anonymized.degree:
             raise ValueError("tables have different shapes")
-        starred: dict[int, set[int]] = {}
+        shared: dict[tuple[int, ...], frozenset[int]] = {}  # equal rows
+        starred: dict[int, frozenset[int]] = {}
         for i, (u, v) in enumerate(zip(original.rows, anonymized.rows)):
+            stars = []
             for j, (a, b) in enumerate(zip(u, v)):
                 if b is STAR:
-                    starred.setdefault(i, set()).add(j)
+                    stars.append(j)
                 elif a != b:
                     raise ValueError(
                         f"cell ({i},{j}) changed value; not a suppression"
                     )
+            if stars:
+                key = tuple(stars)
+                coords = shared.get(key)
+                if coords is None:
+                    coords = shared[key] = frozenset(key)
+                starred[i] = coords
         return cls(starred, n_rows=original.n_rows, degree=original.degree)
 
     # ------------------------------------------------------------------

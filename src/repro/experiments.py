@@ -13,8 +13,9 @@ Three orthogonal knobs thread through every runner:
   (or even reused: every trial runs on a fresh deep copy, so stateful
   algorithms like simulated annealing see identical RNG state no matter
   how trials are scheduled).
-* ``jobs=`` runs independent trials on a ``ProcessPoolExecutor`` with
-  **spawn**-safe workers.  Per-trial seeds come from
+* ``jobs=`` runs independent trials on a
+  :class:`~repro.pool.WorkerPool` of **spawn**-context worker
+  processes.  Per-trial seeds come from
   ``np.random.SeedSequence(base_seed, spawn_key=(trial,))`` — the spawn
   tree is indexed by trial, not by scheduling order, so ``jobs=1`` and
   ``jobs=N`` produce bit-identical results.  Workers re-resolve the
@@ -36,13 +37,9 @@ Theorem 4.2's bound.
 from __future__ import annotations
 
 import copy
-import os
 import statistics
-import threading
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Any, Callable
 
 import numpy as np
@@ -53,6 +50,10 @@ from repro.artifacts import RunStore, table_hash
 from repro.core.metrics import metric_report
 from repro.core.table import Table
 from repro.instrument import summarize_traces
+# the process pool lives in repro.pool; its names stay importable here
+from repro.pool import WorkerCrashError as WorkerCrashError
+from repro.pool import WorkerPool as WorkerPool
+from repro.pool import run_tasks
 
 
 # ----------------------------------------------------------------------
@@ -85,257 +86,6 @@ def _random_table(seed: int, n: int, m: int, sigma: int) -> Table:
     rng = np.random.default_rng(seed)
     data = rng.integers(0, sigma, size=(n, m))
     return Table([tuple(int(v) for v in row) for row in data])
-
-
-# ----------------------------------------------------------------------
-# The parallel trial executor
-# ----------------------------------------------------------------------
-
-
-def _worker_init(backend_default: str | None) -> None:
-    """Per-worker initialization under the spawn start method.
-
-    The parent's ``REPRO_BACKEND`` choice is re-exported explicitly so
-    the worker's lazily-resolved default backend matches the parent's
-    even if the environment diverged between spawn and first use.
-    """
-    if backend_default:
-        os.environ["REPRO_BACKEND"] = backend_default
-
-
-#: ``on_result(index, result)``: called as each task's result exists
-ResultCallback = Callable[[int, Any], None]
-
-
-def _gather(
-    executor: ProcessPoolExecutor,
-    fn: Callable[[Any], Any],
-    tasks: list,
-    on_result: ResultCallback | None,
-) -> list:
-    """Fan *tasks* out on *executor*; results in task order.
-
-    The first exception cancels every not-yet-started task and
-    re-raises.
-    """
-    results: list = [None] * len(tasks)
-    futures = {
-        executor.submit(fn, task): index for index, task in enumerate(tasks)
-    }
-    try:
-        for future in as_completed(futures):
-            index = futures[future]
-            results[index] = future.result()
-            if on_result is not None:
-                on_result(index, results[index])
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        raise
-    return results
-
-
-class WorkerCrashError(RuntimeError):
-    """A pool worker process died mid-task (hard exit, kill, segfault).
-
-    Raised by :meth:`WorkerPool.run` in place of the executor's
-    ``BrokenProcessPool`` *after* the broken executor has been torn
-    down: the pool owner can report the failed batch and keep going —
-    the next :meth:`WorkerPool.run` call transparently spawns a fresh
-    set of workers.
-    """
-
-
-class WorkerPool:
-    """A reusable spawn-context process pool for :func:`run_tasks`.
-
-    The per-batch executor that :func:`run_tasks` builds internally pays
-    one interpreter spawn plus a full ``repro`` import per worker on
-    *every* call — fine for one long experiment sweep, fatal for a
-    service dispatching many small batches.  ``WorkerPool`` keeps the
-    workers alive across calls:
-
-    * **reuse** — the underlying ``ProcessPoolExecutor`` is created
-      lazily on the first :meth:`run` and kept warm for the next one;
-    * **recycling** — with ``max_tasks_per_child=N`` the whole pool is
-      torn down and respawned after roughly ``N`` tasks per worker
-      (``N * jobs`` dispatched tasks), bounding the memory footprint of
-      long-lived workers the way ``ProcessPoolExecutor``'s own
-      ``max_tasks_per_child`` does, but identically on every supported
-      Python version;
-    * **crash recovery** — a worker dying mid-task fails only the batch
-      in flight: the broken executor is discarded, a typed
-      :class:`WorkerCrashError` is raised, and the next :meth:`run`
-      rebuilds the pool.
-
-    Thread-safe: dispatches are serialized by an internal lock, so an
-    owner that calls :meth:`run` from a worker thread (the service's
-    dispatcher does, via ``asyncio.to_thread``) needs no extra care.
-    """
-
-    def __init__(self, jobs: int, *, max_tasks_per_child: int | None = None):
-        if jobs < 1:
-            raise ValueError("jobs must be a positive integer")
-        if max_tasks_per_child is not None and max_tasks_per_child < 1:
-            raise ValueError("max_tasks_per_child must be a positive integer")
-        self.jobs = jobs
-        self.max_tasks_per_child = max_tasks_per_child
-        self._executor: ProcessPoolExecutor | None = None
-        self._dispatched = 0  # tasks sent to the current executor
-        self._lock = threading.Lock()
-        self.batches = 0
-        self.tasks = 0
-        self.rebuilds = 0  # crash-triggered teardowns
-        self.recycled = 0  # scheduled max_tasks_per_child teardowns
-
-    def _spawn(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.jobs,
-            mp_context=get_context("spawn"),
-            initializer=_worker_init,
-            initargs=(os.environ.get("REPRO_BACKEND") or None,),
-        )
-
-    def _acquire(self, n_tasks: int) -> ProcessPoolExecutor:
-        """The live executor, recycling or (re)spawning as needed."""
-        with self._lock:
-            if (
-                self._executor is not None
-                and self.max_tasks_per_child is not None
-                and self._dispatched + n_tasks
-                > self.max_tasks_per_child * self.jobs
-            ):
-                self._executor.shutdown(wait=True)
-                self._executor = None
-                self.recycled += 1
-            if self._executor is None:
-                self._executor = self._spawn()
-                self._dispatched = 0
-            self._dispatched += n_tasks
-            return self._executor
-
-    def _discard_broken(self) -> None:
-        with self._lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False, cancel_futures=True)
-                self._executor = None
-            self.rebuilds += 1
-
-    def run(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: list,
-        on_result: ResultCallback | None = None,
-    ) -> list:
-        """``[fn(t) for t in tasks]`` on the warm pool, in task order.
-
-        Same contract as :func:`run_tasks`' pooled path — the first
-        worker exception cancels the rest of the batch and re-raises —
-        except a dead worker raises :class:`WorkerCrashError` (and only
-        poisons this batch, not the pool object).
-        """
-        if not tasks:
-            return []
-        try:
-            executor = self._acquire(len(tasks))
-            self.batches += 1
-            self.tasks += len(tasks)
-            return _gather(executor, fn, tasks, on_result)
-        except BrokenExecutor as exc:
-            self._discard_broken()
-            raise WorkerCrashError(
-                f"a worker process died mid-batch ({exc}); "
-                "the pool will be rebuilt on the next dispatch"
-            ) from exc
-
-    def close(self) -> None:
-        """Shut the workers down (idempotent; the pool can respawn)."""
-        with self._lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
-
-    @property
-    def alive(self) -> bool:
-        """True iff worker processes are currently warm."""
-        return self._executor is not None
-
-    def stats(self) -> dict[str, Any]:
-        """JSON-ready counters (surfaced by the service's ``stats`` op)."""
-        return {
-            "mode": "persistent",
-            "workers": self.jobs,
-            "alive": self.alive,
-            "batches": self.batches,
-            "tasks": self.tasks,
-            "rebuilds": self.rebuilds,
-            "recycled": self.recycled,
-            "max_tasks_per_child": self.max_tasks_per_child,
-        }
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "warm" if self.alive else "cold"
-        return (
-            f"WorkerPool(jobs={self.jobs}, {state}, "
-            f"batches={self.batches}, rebuilds={self.rebuilds})"
-        )
-
-
-def run_tasks(
-    fn: Callable[[Any], Any],
-    tasks: list,
-    jobs: int = 1,
-    *,
-    pool: WorkerPool | None = None,
-    on_result: ResultCallback | None = None,
-) -> list:
-    """Run ``[fn(t) for t in tasks]``, optionally on a process pool.
-
-    ``jobs=1`` (or a single task) executes inline; otherwise a
-    spawn-context ``ProcessPoolExecutor`` fans the tasks out (*fn* and
-    every task must be picklable).  Results always come back in task
-    order; *on_result* additionally hears of each one as soon as it
-    exists, so a caller can act on a fast task before a slow batchmate
-    finishes.  The first worker exception cancels every not-yet-started
-    task, shuts the pool down, and re-raises in the caller — a
-    :class:`~repro.instrument.BudgetExceededError` in one trial surfaces
-    exactly like it would serially, without orphaning worker processes.
-
-    Passing a :class:`WorkerPool` as ``pool=`` dispatches onto that
-    pool's warm workers instead of spawning a throwaway executor —
-    *every* task then runs out of process (even a batch of one: the
-    isolation is part of the point), ``jobs`` is ignored in favour of
-    the pool's worker count, and a crashed worker raises
-    :class:`WorkerCrashError` while leaving the pool reusable.
-
-    This is the one fan-out primitive in the codebase: the experiment
-    runners dispatch trials through it and the anonymization service
-    (:mod:`repro.service.server`) dispatches request batches through it.
-    """
-    if pool is not None:
-        return pool.run(fn, tasks, on_result)
-    if jobs < 1:
-        raise ValueError("jobs must be a positive integer")
-    if jobs == 1 or len(tasks) <= 1:
-        results = []
-        for index, task in enumerate(tasks):
-            results.append(fn(task))
-            if on_result is not None:
-                on_result(index, results[index])
-        return results
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(tasks)),
-        mp_context=get_context("spawn"),
-        initializer=_worker_init,
-        initargs=(os.environ.get("REPRO_BACKEND") or None,),
-    ) as executor:
-        return _gather(executor, fn, tasks, on_result)
 
 
 def _fresh_copy(algorithm: Anonymizer) -> Anonymizer:

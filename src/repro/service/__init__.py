@@ -2,8 +2,9 @@
 
 The front door for serving anonymization at scale: a stdlib-only
 JSON-over-TCP server (:mod:`repro.service.server`) with per-request
-admission control, request batching through the process-parallel
-executor, and a two-tier content-addressed solution cache
+admission control, dispatch of cache misses to worker processes
+driven from its event loop, and a two-tier content-addressed solution
+cache
 (:mod:`repro.service.cache`).  ``kanon serve`` / ``kanon submit`` are
 the CLI entry points; :class:`ServiceClient` is the programmatic one.
 

@@ -187,7 +187,7 @@ def server():
     from repro.service import AnonymizationService, ServiceServer
 
     with ServiceServer(
-        AnonymizationService(max_entries=64, batch_window=0.002)
+        AnonymizationService(max_entries=64)
     ) as running:
         yield running
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import io
 import json
+import pickle
 import socket
 import threading
 import time
@@ -111,7 +113,7 @@ class TestServiceCore:
         request = {"op": "anonymize", "csv": table.to_csv(), "k": 4}
 
         async def scenario():
-            service = AnonymizationService(batch_window=0.02)
+            service = AnonymizationService()
             try:
                 return await asyncio.gather(
                     service.handle(dict(request)),
@@ -132,7 +134,7 @@ class TestServiceCore:
 
     def test_concurrent_distinct_requests_form_one_batch(self):
         async def scenario():
-            service = AnonymizationService(batch_window=0.1, max_batch=8)
+            service = AnonymizationService(max_batch=8)
             tables = [
                 quasi_identifiers(census_table(16, seed=s))
                 for s in range(4)
@@ -178,8 +180,9 @@ class TestServiceCore:
 
 
 class TestDispatchRule:
-    """A batch waits out ``batch_window`` only while a worker would sit
-    idle: it dispatches at once when it holds a job per worker."""
+    """With ``jobs > 1`` the event loop writes each miss to an idle
+    worker as soon as one is free; a ``jobs=1`` service solves queued
+    misses in batches on its dispatcher thread."""
 
     @staticmethod
     def _requests(count: int) -> list[dict]:
@@ -189,11 +192,27 @@ class TestDispatchRule:
             for s in range(count)
         ]
 
+    @staticmethod
+    def _slow(seed: int) -> dict:
+        """A miss that keeps a worker busy for about half a second."""
+        return {"op": "anonymize", "k": 3, "algorithm": "greedy_cover",
+                "csv": quasi_identifiers(census_table(40, seed=seed)).to_csv()}
+
+    @staticmethod
+    async def _booted(service: AnonymizationService) -> None:
+        """Serve one miss, then wait until every worker has booted."""
+        (warm,) = TestDispatchRule._requests(1)
+        assert (await service.handle(warm))["ok"]
+        assert service._pool is not None
+        while not all(w is not None and w.idle
+                      for w in service._pool._workers):
+            await asyncio.sleep(0.01)
+
     def test_lone_miss_on_one_worker_does_not_wait(self):
         (request,) = self._requests(1)
 
         async def scenario():
-            service = AnonymizationService(jobs=1, batch_window=5.0)
+            service = AnonymizationService(jobs=1)
             started = time.monotonic()
             try:
                 response = await service.handle(request)
@@ -205,44 +224,136 @@ class TestDispatchRule:
         assert response["ok"] and response["cache"] == "miss"
         assert elapsed < 1.0
 
-    def test_full_batch_dispatches_before_the_window(self):
-        async def scenario():
-            service = AnonymizationService(jobs=2, batch_window=5.0)
-            started = time.monotonic()
-            try:
-                responses = await asyncio.gather(
-                    *(service.handle(r) for r in self._requests(2))
-                )
-            finally:
-                await service.stop()
-            return (responses, service.stats()["batches"],
-                    time.monotonic() - started)
-
-        responses, batches, elapsed = run(scenario())
-        assert all(r["ok"] and r["cache"] == "miss" for r in responses)
-        assert (batches["count"], batches["max_size"]) == (1, 2)
-        assert elapsed < 5.0
-
-    def test_window_still_fills_an_idle_worker(self):
-        first, second = self._requests(2)
-        service = AnonymizationService(jobs=2, batch_window=2.0)
-
-        async def late(request):
-            await asyncio.sleep(0.05)
-            return await service.handle(request)
+    def test_lone_miss_is_written_to_a_worker_at_once(self):
+        _, lone = self._requests(2)
 
         async def scenario():
+            service = AnonymizationService(jobs=2)
             try:
-                return await asyncio.gather(
-                    service.handle(first), late(second)
-                )
+                await self._booted(service)
+                answer = asyncio.ensure_future(service.handle(lone))
+                await asyncio.sleep(0)  # the request's first step only
+                written = service.stats()["pool"]["tasks"]
+                return written, await answer
             finally:
                 await service.stop()
 
-        responses = run(scenario())
-        assert all(r["ok"] and r["cache"] == "miss" for r in responses)
-        batches = service.stats()["batches"]
-        assert (batches["count"], batches["max_size"]) == (1, 2)
+        written, response = run(scenario())
+        assert written == 2  # the warm-up's task and this one
+        assert response["ok"] and response["cache"] == "miss"
+
+    def test_distinct_misses_solve_at_the_same_time(self):
+        """A miss that arrives while another solves takes the other
+        worker, and is answered before the long solve ends."""
+        slow = self._slow(1)
+        fast = self._requests(3)[2]
+
+        async def answered_at(service, request):
+            response = await service.handle(request)
+            return response, time.monotonic()
+
+        async def scenario():
+            service = AnonymizationService(jobs=2)
+            try:
+                await self._booted(service)
+                long_solve = asyncio.ensure_future(
+                    answered_at(service, slow)
+                )
+                await asyncio.sleep(0.05)
+                fast_answer = await answered_at(service, fast)
+                return fast_answer, await long_solve, service.stats()
+            finally:
+                await service.stop()
+
+        (fast_response, fast_at), (slow_response, slow_at), stats = run(
+            scenario()
+        )
+        assert fast_response["ok"] and slow_response["ok"]
+        assert fast_at < slow_at
+        assert stats["batches"]["count"] == 3
+        assert stats["batches"]["max_size"] == 1
+
+    def test_queued_key_sharers_solve_once_when_a_worker_frees(self):
+        """Bypassing requests for one instance that queue while every
+        worker is busy go to the next free worker as one solve."""
+        shared = {"op": "anonymize", "csv": small_table().to_csv(), "k": 3,
+                  "use_cache": False}
+
+        async def scenario():
+            service = AnonymizationService(jobs=2)
+            try:
+                await self._booted(service)
+                busy = [asyncio.ensure_future(service.handle(self._slow(s)))
+                        for s in (1, 2)]
+                await asyncio.sleep(0)
+                assert service.stats()["pool"]["tasks"] == 3
+                sharers = await asyncio.gather(
+                    *(service.handle(dict(shared)) for _ in range(3))
+                )
+                return sharers, await asyncio.gather(*busy), service.stats()
+            finally:
+                await service.stop()
+
+        sharers, busy, stats = run(scenario())
+        assert all(r["ok"] for r in sharers + busy)
+        assert [r["cache"] for r in sharers] == ["bypass"] * 3
+        assert len({r["csv"] for r in sharers}) == 1
+        # the warm-up, the two slow solves, and one for the three sharers
+        assert stats["pool"]["tasks"] == 4
+        assert stats["batches"]["max_size"] == 3
+
+    def test_ping_is_answered_while_workers_and_pipes_are_busy(self):
+        """``ping`` stays under 100 ms while both workers run long
+        solves and a multi-megabyte request waits, is written to a
+        worker, and comes back."""
+        service = AnonymizationService(jobs=2)
+        wide = [[f"{'x' * 1000}{(row * 7 + col) % 5}" for col in range(10)]
+                for row in range(200)]
+        large = {"op": "anonymize", "k": 2,
+                 "csv": Table(wide).to_csv()}
+        assert len(large["csv"]) > 2_000_000
+        responses: dict[str, dict] = {}
+
+        def send(name: str, request: dict) -> None:
+            with ServiceClient(*server.address, timeout=120) as client:
+                responses[name] = client.request(request)
+
+        def started(name: str, request: dict) -> threading.Thread:
+            thread = threading.Thread(target=send, args=(name, request))
+            thread.start()
+            return thread
+
+        def wait_for(condition) -> None:
+            deadline = time.monotonic() + 60
+            while not condition():
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+
+        with ServiceServer(service) as server:
+            with ServiceClient(*server.address, timeout=120) as client:
+                assert client.request(self._requests(1)[0])["ok"]
+            pool = service._pool
+            assert pool is not None
+            wait_for(lambda: all(w is not None and w.idle
+                                 for w in pool._workers))
+            threads = [started("slow1", self._slow(1)),
+                       started("slow2", self._slow(2))]
+            wait_for(lambda: pool.tasks == 3)
+            threads.append(started("large", large))
+            wait_for(lambda: len(service._pending) == 1)
+            pings = []
+            with ServiceClient(*server.address, timeout=10) as pinger:
+                while any(thread.is_alive() for thread in threads):
+                    began = time.perf_counter()
+                    assert pinger.ping()["ok"]
+                    pings.append(time.perf_counter() - began)
+                    time.sleep(0.005)
+            for thread in threads:
+                thread.join()
+        assert all(r["ok"] for r in responses.values()), responses
+        assert responses["large"]["csv"].count("x" * 1000) > 1000
+        assert len(pings) >= 10
+        assert max(pings) < 0.1, sorted(pings)[-5:]
 
     def test_fast_batchmate_is_answered_before_the_slow_one_ends(
         self, monkeypatch
@@ -283,6 +394,39 @@ class TestDispatchRule:
         batches = service.stats()["batches"]
         assert (batches["count"], batches["max_size"]) == (1, 2)
         assert fast_at < slow_finished[0]
+
+
+class TestTaskShape:
+    """A task for a worker process carries the request's text; the
+    inline solve takes the table admission parsed."""
+
+    @staticmethod
+    def _admitted_task(jobs: int, seed: int):
+        # a table no other test sends, so admission parses it here
+        request = {"op": "anonymize", "k": 3, "csv": quasi_identifiers(
+            census_table(24, seed=seed)).to_csv()}
+
+        async def admitted():
+            return AnonymizationService(jobs=jobs)._admit(request).task
+
+        return run(admitted())
+
+    def test_a_pool_task_pickles_no_table(self):
+        pickled: set[type] = set()
+
+        class Spy(pickle.Pickler):
+            def persistent_id(self, obj):
+                pickled.add(type(obj))
+                return None
+
+        task = self._admitted_task(2, seed=9101)
+        Spy(io.BytesIO()).dump(task)
+        assert task.table is None and task.csv is not None
+        assert str in pickled and Table not in pickled
+
+    def test_the_inline_task_carries_the_parsed_table(self):
+        task = self._admitted_task(1, seed=9102)
+        assert isinstance(task.table, Table) and task.csv is None
 
 
 class TestAdmissionControl:
@@ -375,7 +519,7 @@ class TestAdmissionControl:
     def test_zero_budget_rejected_at_dispatch_not_solved(self):
         # the budget is armed at admission, so a request that spends its
         # whole allowance queued is dropped by the dispatcher
-        service = AnonymizationService(batch_window=0.0)
+        service = AnonymizationService()
         request = {"op": "anonymize", "csv": small_table().to_csv(),
                    "k": 3, "timeout": 0.0}
         (response,) = run(_served(service, request))
@@ -421,7 +565,7 @@ class TestAdmissionControl:
 @pytest.fixture(scope="class")
 def server():
     with ServiceServer(
-        AnonymizationService(max_entries=64, batch_window=0.002)
+        AnonymizationService(max_entries=64)
     ) as running:
         yield running
 

@@ -194,7 +194,7 @@ class TestDeltaCore:
         base, delta, _ = grown_pair()
 
         async def scenario():
-            service = AnonymizationService(batch_window=0.02)
+            service = AnonymizationService()
             try:
                 await service.handle(_solve_request(base))
                 request = {"op": "delta", "state_key": state_key(
@@ -250,7 +250,7 @@ class TestSnapshotExport:
         base, _, _ = grown_pair()
 
         async def scenario():
-            service = AnonymizationService(batch_window=0.05)
+            service = AnonymizationService()
             try:
                 responses = await asyncio.gather(
                     service.handle(dict(_solve_request(base),
@@ -419,7 +419,7 @@ def server(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("delta-cache")
     with ServiceServer(
         AnonymizationService(
-            max_entries=64, batch_window=0.002, cache_dir=str(cache_dir)
+            max_entries=64, cache_dir=str(cache_dir)
         )
     ) as running:
         yield running

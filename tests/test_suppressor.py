@@ -124,6 +124,16 @@ class TestFromTables:
     def test_identity_recovered(self, table):
         assert Suppressor.from_tables(table, table).total_stars() == 0
 
+    def test_equal_star_sets_are_shared(self):
+        original = Table([(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 5, 9)])
+        s = Suppressor({0: [0, 2], 1: [2, 0], 2: [1], 3: [0, 2]},
+                       n_rows=4, degree=3)
+        recovered = Suppressor.from_tables(original, s.apply(original))
+        assert recovered == s
+        first = recovered.starred_coordinates(0)
+        assert recovered.starred_coordinates(1) is first
+        assert recovered.starred_coordinates(3) is first
+
 
 class TestAttributeSuppression:
     def test_suppress_attributes_by_index(self, table):
