@@ -77,12 +77,11 @@ def test_e19_warm_cache_throughput(benchmark, report):
 
 
 def _solve_batch(jobs: int, tables) -> tuple[list, float]:
-    """One coalesced batch through the service core at *jobs* workers."""
+    """Distinct requests sent at once through the service core at *jobs*
+    solvers; each is its own dispatch."""
 
     async def scenario():
-        service = AnonymizationService(
-            jobs=jobs, max_batch=len(tables),
-        )
+        service = AnonymizationService(jobs=jobs)
         try:
             return await asyncio.gather(*(
                 service.handle({

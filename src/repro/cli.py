@@ -192,11 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "in-process)",
     )
     serve.add_argument(
-        "--max-batch", type=int, default=16, metavar="N",
-        help="most queued requests one dispatch takes with --jobs 1 or "
-             "--per-batch-pool (default: 16)",
-    )
-    serve.add_argument(
         "--cache-size", type=int, default=256, metavar="N",
         help="in-memory solution-cache entries (default: 256)",
     )
@@ -213,13 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="distance backend for all solves (default: REPRO_BACKEND)",
     )
     serve.add_argument(
-        "--per-batch-pool", action="store_true",
-        help="spawn a fresh worker pool per batch instead of keeping "
-             "one alive across batches (the pre-v2 behaviour)",
-    )
-    serve.add_argument(
         "--max-tasks-per-child", type=int, default=None, metavar="N",
-        help="recycle persistent-pool workers after ~N tasks each",
+        help="recycle each --jobs worker after N tasks",
     )
     serve.add_argument(
         "--inject-faults", action="store_true",
@@ -607,10 +597,8 @@ def _serve(args) -> int:
         max_entries=args.cache_size,
         cache_dir=args.cache_dir,
         jobs=args.jobs,
-        max_batch=args.max_batch,
         backend=args.backend,
         max_timeout=args.max_timeout,
-        persistent_pool=not args.per_batch_pool,
         max_tasks_per_child=args.max_tasks_per_child,
         fault_injection=True if args.inject_faults else None,
         privacy_budget=args.privacy_budget,

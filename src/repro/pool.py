@@ -35,9 +35,6 @@ def _worker_init(backend_default: str | None) -> None:
         os.environ["REPRO_BACKEND"] = backend_default
 
 
-#: ``on_result(index, result)``: called as each task's result exists
-ResultCallback = Callable[[int, Any], None]
-
 #: ``done(ok, value)``: a task's result (``ok``) or the exception it hit
 DoneCallback = Callable[[bool, Any], None]
 
@@ -397,20 +394,14 @@ class WorkerPool:
 
     # -- the synchronous driver ----------------------------------------
 
-    def run(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: list,
-        on_result: ResultCallback | None = None,
-    ) -> list:
+    def run(self, fn: Callable[[Any], Any], tasks: list) -> list:
         """``[fn(t) for t in tasks]`` on the pool's workers, in task order.
 
-        Same contract as :func:`run_tasks`' pooled path: *on_result*
-        hears of each result as it arrives, and the first exception a
-        task raises is re-raised at once, with no further task written
-        (tasks still running finish and their results are dropped).  A
-        worker lost during the call raises :class:`WorkerCrashError`;
-        the pool stays usable.
+        Same contract as :func:`run_tasks`' pooled path: the first
+        exception a task raises is re-raised at once, with no further
+        task written (tasks still running finish and their results are
+        dropped).  A worker lost during the call raises
+        :class:`WorkerCrashError`; the pool stays usable.
         """
         if not tasks:
             return []
@@ -428,8 +419,6 @@ class WorkerPool:
                 return
             results[index] = value
             left -= 1
-            if on_result is not None:
-                on_result(index, value)
 
         with self._lock:
             if self._selector is None:
@@ -527,16 +516,14 @@ def run_tasks(
     jobs: int = 1,
     *,
     pool: WorkerPool | None = None,
-    on_result: ResultCallback | None = None,
 ) -> list:
     """Run ``[fn(t) for t in tasks]``, optionally on a process pool.
 
     ``jobs=1`` (or a single task) executes inline; otherwise a
-    throwaway :class:`WorkerPool` fans the tasks out (*fn* and every
-    task must be picklable).  Results always come back in task order;
-    *on_result* additionally hears of each one as soon as it exists, so
-    a caller can act on a fast task before a slow batchmate finishes.
-    The first worker exception stops the dispatch, shuts the pool down
+    throwaway :class:`WorkerPool`, spawned for this call and shut down
+    when it returns, fans the tasks out (*fn* and every task must be
+    picklable).  Results always come back in task order.  The first
+    worker exception stops the dispatch, shuts the pool down
     (terminating tasks still running) and re-raises in the caller — a
     :class:`~repro.instrument.BudgetExceededError` in one trial surfaces
     exactly like it would serially, without orphaning worker processes.
@@ -549,19 +536,14 @@ def run_tasks(
     :class:`WorkerCrashError` while leaving the pool reusable.
 
     This is the one fan-out primitive of the experiment runners; the
-    anonymization service (:mod:`repro.service.server`) drives the same
-    :class:`WorkerPool` from its event loop.
+    anonymization service (:mod:`repro.service.server`) does not call
+    it, but drives a :class:`WorkerPool` from its event loop.
     """
     if pool is not None:
-        return pool.run(fn, tasks, on_result)
+        return pool.run(fn, tasks)
     if jobs < 1:
         raise ValueError("jobs must be a positive integer")
     if jobs == 1 or len(tasks) <= 1:
-        results = []
-        for index, task in enumerate(tasks):
-            results.append(fn(task))
-            if on_result is not None:
-                on_result(index, results[index])
-        return results
+        return [fn(task) for task in tasks]
     with WorkerPool(min(jobs, len(tasks))) as pool:
-        return pool.run(fn, tasks, on_result)
+        return pool.run(fn, tasks)

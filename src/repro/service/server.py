@@ -7,11 +7,10 @@ Architecture (stdlib only — JSON lines over TCP):
   registry, enforces per-request :class:`~repro.instrument.TimeBudget`
   admission control, consults the two-tier
   :class:`~repro.service.cache.SolutionCache`, coalesces identical
-  in-flight instances, and sends cache misses to the solvers: with
-  ``jobs > 1`` the event loop writes each miss to an idle worker of a
-  :class:`repro.pool.WorkerPool` as soon as one is free; with
-  ``jobs=1`` a dispatcher solves batches of queued misses in a thread
-  (:func:`repro.pool.run_tasks`).
+  in-flight instances, and has the event loop hand each cache miss to
+  an idle solver as soon as one is free: a worker of a
+  :class:`repro.pool.WorkerPool` with ``jobs > 1``, or with ``jobs=1``
+  one in-process solve slot that runs the solve on a thread.
 * :func:`admit` is the one request → solver → key path: it validates
   and keys a request from its own fields, so the shard router
   (:mod:`repro.service.router`) places every request exactly where
@@ -114,7 +113,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Callable
 
 from repro import registry
 from repro.algorithms.base import InfeasibleAnonymizationError
@@ -127,7 +126,7 @@ from repro.core.backend import default_backend_name
 from repro.core.table import Table
 from repro.instrument import BudgetExceededError, TimeBudget, summarize_traces
 from repro.planner import InstanceFeatures, plan_features, sigma_of
-from repro.pool import WorkerPool, run_tasks
+from repro.pool import DoneCallback, WorkerPool
 from repro.privacy.dp import BudgetExhaustedError, PrivacyAccountant
 from repro.service.cache import SolutionCache, is_cache_key
 from repro.service.wire import _error
@@ -228,10 +227,10 @@ def _solve_task(task: _SolveTask) -> dict[str, Any]:
     """Solve one dispatched task; always returns a JSON-ready dict.
 
     Errors come back as ``{"error": ..., "code": ...}`` records instead
-    of raising — one poisoned request inside a batch must not cancel its
-    batchmates (:func:`~repro.pool.run_tasks` stops a batch on a
-    raised exception).  In a pool worker the solve yields the CPU to
-    the server first (:func:`_yield_to_the_server`).
+    of raising, so every sharer of the solve gets the error's own code
+    (``budget-exceeded``, ``infeasible``, ...); an exception that does
+    escape is answered ``internal``.  In a pool worker the solve yields
+    the CPU to the server first (:func:`_yield_to_the_server`).
     """
     if multiprocessing.parent_process() is not None:
         _yield_to_the_server()
@@ -734,28 +733,79 @@ class _Job:
     dataset: str | None = None
 
 
+class _InlineSlot:
+    """The ``jobs=1`` solver: one solve at a time, in this process, on a
+    thread of the event loop's default executor.
+
+    It keeps the event-loop half of :class:`~repro.pool.WorkerPool`'s
+    contract (:meth:`ready`, :meth:`submit`, :attr:`on_idle`,
+    :meth:`stats`, :meth:`close`), so the service drives both alike.
+    A thread cannot be stopped: :meth:`close` fails the solve in flight
+    at once, and its result is dropped when it comes.
+    """
+
+    def __init__(self) -> None:
+        #: called on the loop when the slot turns idle
+        self.on_idle: Callable[[], None] | None = None
+        self._running: asyncio.Future | None = None
+        self._done: DoneCallback | None = None
+
+    def ready(self) -> bool:
+        """Whether the slot can take a solve now."""
+        return self._running is None
+
+    def submit(self, fn: Callable[[Any], Any], task: Any,
+               done: DoneCallback) -> None:
+        """Run ``fn(task)`` on a thread; ``done(ok, value)`` is called on
+        the loop with its result or its exception."""
+        if self._running is not None:
+            raise RuntimeError("the solve slot is busy: submit after ready()")
+        self._done = done
+        self._running = asyncio.get_running_loop().run_in_executor(
+            None, fn, task
+        )
+        self._running.add_done_callback(self._finished)
+
+    def _finished(self, future: asyncio.Future) -> None:
+        error = future.exception()  # read even when dropped
+        if future is not self._running:
+            return  # closed while it ran: the late result is dropped
+        done, self._running, self._done = self._done, None, None
+        assert done is not None
+        done(error is None, future.result() if error is None else error)
+        if self.on_idle is not None:
+            self.on_idle()
+
+    def close(self) -> None:
+        """Fail the solve in flight, if any; the slot stays usable."""
+        done = self._done
+        self._running = self._done = None
+        if done is not None:
+            done(False, RuntimeError("the inline solver was closed"))
+
+    def stats(self) -> dict[str, Any]:
+        return {"mode": "inline", "workers": 1}
+
+
 class AnonymizationService:
     """Validation, admission control, caching, coalescing, dispatch.
 
     :param cache: solution cache (a default in-memory one if omitted);
         ``max_entries`` / ``cache_dir`` configure the default.
-    :param jobs: worker processes (1 = solve in-line on the dispatcher
-        thread).  With more, each miss is written to an idle worker as
-        soon as one is free.
-    :param max_batch: most queued jobs one dispatch takes on the inline
-        and per-batch paths.
+    :param jobs: solvers.  With ``jobs > 1`` the service owns a
+        :class:`~repro.pool.WorkerPool` of that many worker processes,
+        driven from the event loop; a worker crash fails only its job
+        (code ``internal``) and a fresh worker takes its slot.  With
+        ``jobs=1`` each miss solves in this process, on a thread, one at
+        a time.  Either way each queued miss goes to the next idle
+        solver, oldest first.
     :param backend: distance backend for all solves (default: the
         process default, i.e. ``REPRO_BACKEND``).
     :param default_timeout: budget applied to requests that send none.
     :param max_timeout: admission cap — requests asking for more are
         rejected up front rather than allowed to occupy workers.
-    :param persistent_pool: with ``jobs > 1``, own one
-        :class:`~repro.pool.WorkerPool` that the event loop
-        drives (the default) instead of spawning a throwaway pool per
-        batch.  A worker crash fails only its job (code ``internal``);
-        a fresh worker takes its slot.
-    :param max_tasks_per_child: recycle each persistent-pool worker
-        after this many tasks (``None``: never).
+    :param max_tasks_per_child: recycle each pool worker after this
+        many tasks (``None``: never).
     :param fault_injection: honour per-request ``fault`` fields
         (``kill-worker``, ``delay:SECONDS``, ``drop-connection``) —
         chaos-testing only, never enable in production.  ``None`` reads
@@ -776,24 +826,19 @@ class AnonymizationService:
         max_entries: int = 256,
         cache_dir: str | None = None,
         jobs: int = 1,
-        max_batch: int = 16,
         backend: str | None = None,
         default_timeout: float | None = None,
         max_timeout: float | None = None,
-        persistent_pool: bool = True,
         max_tasks_per_child: int | None = None,
         fault_injection: bool | None = None,
         privacy_budget: float | None = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be a positive integer")
-        if max_batch < 1:
-            raise ValueError("max_batch must be a positive integer")
         self.cache = cache if cache is not None else SolutionCache(
             max_entries=max_entries, directory=cache_dir,
         )
         self.jobs = jobs
-        self.max_batch = max_batch
         self.backend = backend or default_backend_name()
         self.default_timeout = default_timeout
         self.max_timeout = max_timeout
@@ -803,18 +848,19 @@ class AnonymizationService:
             )
         self.fault_injection = bool(fault_injection)
         self.accountant = PrivacyAccountant(privacy_budget)
-        self._pool = (
+        #: the solvers misses are handed to
+        self._pool: WorkerPool | _InlineSlot = (
             WorkerPool(jobs, max_tasks_per_child=max_tasks_per_child)
-            if persistent_pool and jobs > 1 else None
+            if jobs > 1 else _InlineSlot()
         )
-        if self._pool is not None:
-            self._pool.on_idle = self._pump
+        self._pool.on_idle = self._pump
         self.started_at = time.time()
         self.requests: dict[str, int] = {}
         self.coalesced = 0
         self.rejected = 0
         self.planned = 0
-        #: dispatched batches: how many, the largest, and jobs in all
+        #: dispatches (one per solve written): how many, the most jobs
+        #: one answered, and jobs in all
         self._batch_count = 0
         self._batch_max = 0
         self._batch_jobs = 0
@@ -825,49 +871,27 @@ class AnonymizationService:
         #: by summing this over shards and comparing to unique instances
         self._solved_keys: set[str] = set()
         self._inflight: dict[str, asyncio.Future] = {}
-        #: misses waiting for an idle pool worker (``jobs > 1``)
+        #: misses waiting for an idle solver, oldest first
         self._pending: deque[_Job] = deque()
-        #: misses waiting for the batch dispatcher (the other paths)
-        self._queue: asyncio.Queue[_Job] | None = None
-        self._dispatcher: asyncio.Task | None = None
 
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        """Start the batch dispatcher (idempotent; the persistent pool
-        needs none)."""
-        if self._dispatcher is None and self._pool is None:
-            self._queue = asyncio.Queue()
-            self._dispatcher = asyncio.ensure_future(self._dispatch_loop())
+        """The front end's start hook: nothing to do, the solvers start
+        when the first miss needs one."""
 
     async def stop(self) -> None:
-        """Stop the dispatcher; queued and running jobs are failed, not
-        abandoned."""
-        while self._pending:
-            job = self._pending.popleft()
+        """Fail queued and running jobs (code ``internal``) and shut the
+        solvers down; a solve that ends later is dropped, and no queued
+        job starts.  The service stays usable: pool workers respawn
+        lazily."""
+        pending, self._pending = self._pending, deque()
+        for job in pending:
             if not job.future.done():
                 job.future.set_exception(
                     ServiceError("internal", "service shut down")
                 )
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
-            self._dispatcher = None
-        if self._queue is not None:
-            while not self._queue.empty():
-                job = self._queue.get_nowait()
-                if not job.future.done():
-                    job.future.set_exception(
-                        ServiceError("internal", "service shut down")
-                    )
-            self._queue = None
-        if self._pool is not None:
-            # workers are shut down but the pool object stays: a
-            # restarted service respawns them lazily
-            self._pool.close()
+        self._pool.close()
 
     def banner(self, host: str, port: int) -> str:
         """The front end's startup line."""
@@ -1028,13 +1052,8 @@ class AnonymizationService:
         if use_cache:
             self._inflight[job.key] = job.future
         try:
-            if self._pool is not None:
-                self._pending.append(job)
-                self._pump()
-            else:
-                await self.start()
-                assert self._queue is not None
-                self._queue.put_nowait(job)
+            self._pending.append(job)
+            self._pump()
             outcome = await job.future
         finally:
             if self._inflight.get(job.key) is job.future:
@@ -1050,8 +1069,8 @@ class AnonymizationService:
         only this server knows: its timeout default and cap, fault
         markers, and the stored snapshot a delta continues.  The budget
         is armed *here*: queueing delay counts against the request, and
-        the dispatcher drops jobs whose budget expired before they
-        reached a worker.  A task for a worker process carries the CSV
+        :meth:`_pump` answers a job whose budget expired before it
+        reached a solver.  A task for a worker process carries the CSV
         text; the inline solve takes the table admission parsed.
         """
         admission = admit(request, self.backend)
@@ -1239,7 +1258,7 @@ class AnonymizationService:
             response["plan"] = job.plan
         return response
 
-    # -- the dispatchers -----------------------------------------------
+    # -- dispatch --------------------------------------------------------
 
     @staticmethod
     def _dispatchable(jobs: list[_Job]) -> list[_Job]:
@@ -1262,21 +1281,17 @@ class AnonymizationService:
             ready.append(job)
         return ready
 
-    def _count_batch(self, size: int) -> None:
-        self._batch_count += 1
-        self._batch_max = max(self._batch_max, size)
-        self._batch_jobs += size
-
     def _pump(self) -> None:
-        """Write queued misses to idle pool workers, oldest first.
+        """Hand queued misses to idle solvers, oldest first.
 
         Runs on the event loop when a miss is queued and whenever a
-        worker turns idle or is lost; :meth:`WorkerPool.ready` refills
-        an emptied slot at once.  A job's budget is checked, and its
-        solver timeout computed, as it is written; the queued jobs that
-        share its key go with it and solve once (:meth:`_merge_jobs`).
+        solver turns idle or is lost; :meth:`WorkerPool.ready` refills
+        an emptied worker slot at once.  A job's budget is checked, and
+        its solver timeout computed, as it is handed over; the queued
+        jobs that share its key go with it and solve once
+        (:meth:`_merge_jobs`).  Each hand-over is one dispatch in
+        ``stats()["batches"]``.
         """
-        assert self._pool is not None
         while self._pool.ready() and self._pending:
             key = self._pending[0].key
             sharers = [job for job in self._pending if job.key == key]
@@ -1284,15 +1299,18 @@ class AnonymizationService:
             sharers = self._dispatchable(sharers)
             if not sharers:
                 continue
-            self._count_batch(len(sharers))
-            _, (task,) = self._merge_jobs(sharers)
+            self._batch_count += 1
+            self._batch_max = max(self._batch_max, len(sharers))
+            self._batch_jobs += len(sharers)
             self._pool.submit(
-                _solve_task, task, functools.partial(self._resolve, sharers)
+                _solve_task, self._merge_jobs(sharers),
+                functools.partial(self._resolve, sharers),
             )
 
     @staticmethod
     def _resolve(sharers: list[_Job], ok: bool, outcome: Any) -> None:
-        """Answer a pool solve's sharers; a lost worker is ``internal``."""
+        """Answer a solve's sharers; a lost or closed solver is
+        ``internal``."""
         for job in sharers:
             if job.future.done():
                 continue
@@ -1301,58 +1319,9 @@ class AnonymizationService:
             else:
                 job.future.set_exception(ServiceError("internal", str(outcome)))
 
-    async def _dispatch_loop(self) -> None:
-        """Take a job and every job already queued (up to
-        ``max_batch``), and solve them as one batch: the inline and
-        per-batch paths."""
-        assert self._queue is not None
-        while True:
-            batch = [await self._queue.get()]
-            while len(batch) < self.max_batch and not self._queue.empty():
-                batch.append(self._queue.get_nowait())
-            await self._run_batch(batch)
-
-    async def _run_batch(self, batch: list[_Job]) -> None:
-        """Dispatch one batch to :func:`~repro.pool.run_tasks`
-        (in a thread).
-
-        Each job is answered as soon as its own outcome exists, not when
-        the batch's slowest solve ends.
-        """
-        ready = self._dispatchable(batch)
-        if not ready:
-            return
-        self._count_batch(len(ready))
-        keys, tasks = self._merge_jobs(ready)
-        loop = asyncio.get_running_loop()
-
-        def resolve(index: int, outcome: dict[str, Any]) -> None:
-            for job in ready:
-                if job.key == keys[index] and not job.future.done():
-                    job.future.set_result(outcome)
-
-        try:
-            # each resolve is queued on the loop before the thread's
-            # completion is, so every job has its outcome when this
-            # await returns
-            await asyncio.to_thread(
-                run_tasks, _solve_task, tasks, min(self.jobs, len(keys)),
-                on_result=lambda index, outcome: loop.call_soon_threadsafe(
-                    resolve, index, outcome
-                ),
-            )
-        except Exception as exc:  # noqa: BLE001 - process pool boundary
-            for job in ready:
-                if not job.future.done():
-                    job.future.set_exception(
-                        ServiceError("internal", str(exc))
-                    )
-
     @staticmethod
-    def _merge_jobs(
-        ready: list[_Job],
-    ) -> tuple[list[str], list[_SolveTask]]:
-        """Deduplicate a batch by instance key, one task per key.
+    def _merge_jobs(sharers: list[_Job]) -> _SolveTask:
+        """The one task that solves for every queued job of one key.
 
         Key-sharers solve once, under the **loosest** budget in the
         group — unlimited if any sharer is unlimited, else the largest
@@ -1360,36 +1329,26 @@ class AnonymizationService:
         would let a stranger's tight deadline fail, or
         deadline-degrade, everyone else's identical request.)  Tracing,
         fault markers and snapshot export are likewise merged with "any
-        sharer asked" semantics.  The merge keeps each task's other fields
-        (``dataclasses.replace``), so anonymize and delta tasks both
-        pass through — and since a delta job is keyed by its *grown* table, a delta
-        can share a key with a cold solve of the same full table, in
-        which case the first arrival's task shape wins (both produce
-        the same release, by replay equivalence).
+        sharer asked" semantics.  The merge keeps the first task's other
+        fields (``dataclasses.replace``), so anonymize and delta tasks
+        both pass through — and since a delta job is keyed by its
+        *grown* table, a delta can share a key with a cold solve of the
+        same full table, in which case the first arrival's task shape
+        wins (both produce the same release, by replay equivalence).
         """
-        groups: dict[str, list[_Job]] = {}
-        for job in ready:
-            groups.setdefault(job.key, []).append(job)
-        keys = list(groups)
-        tasks: list[_SolveTask] = []
-        for key in keys:
-            sharers = groups[key]
-            base = sharers[0].task
-            if any(not job.budget.limited for job in sharers):
-                timeout = None
-            else:
-                timeout = max(job.budget.remaining() for job in sharers)
-            tasks.append(replace(
-                base,
-                timeout=timeout,
-                trace=any(job.task.trace for job in sharers),
-                fault=next(
-                    (job.task.fault for job in sharers if job.task.fault),
-                    None,
-                ),
-                keep_state=any(job.task.keep_state for job in sharers),
-            ))
-        return keys, tasks
+        if any(not job.budget.limited for job in sharers):
+            timeout = None
+        else:
+            timeout = max(job.budget.remaining() for job in sharers)
+        return replace(
+            sharers[0].task,
+            timeout=timeout,
+            trace=any(job.task.trace for job in sharers),
+            fault=next(
+                (job.task.fault for job in sharers if job.task.fault), None
+            ),
+            keep_state=any(job.task.keep_state for job in sharers),
+        )
 
     # -- introspection -------------------------------------------------
 
@@ -1401,7 +1360,6 @@ class AnonymizationService:
             "uptime_seconds": time.time() - self.started_at,
             "backend": self.backend,
             "jobs": self.jobs,
-            "max_batch": self.max_batch,
             "requests": dict(self.requests),
             "rejected": self.rejected,
             "coalesced": self.coalesced,
@@ -1414,10 +1372,7 @@ class AnonymizationService:
                 "max_size": self._batch_max,
                 "mean_size": self._batch_jobs / count if count else 0.0,
             },
-            "pool": self._pool.stats() if self._pool is not None else {
-                "mode": "per-batch" if self.jobs > 1 else "inline",
-                "workers": self.jobs,
-            },
+            "pool": self._pool.stats(),
             "traces": summarize_traces(self.traces),
         }
 

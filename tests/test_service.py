@@ -132,9 +132,11 @@ class TestServiceCore:
         batches = service.stats()["batches"]
         assert (batches["count"], batches["max_size"]) == (1, 1)
 
-    def test_concurrent_distinct_requests_form_one_batch(self):
+    def test_concurrent_distinct_requests_are_one_dispatch_each(self):
+        """Distinct keys never share a solve: each is its own dispatch,
+        also when all of them queue at once."""
         async def scenario():
-            service = AnonymizationService(max_batch=8)
+            service = AnonymizationService()
             tables = [
                 quasi_identifiers(census_table(16, seed=s))
                 for s in range(4)
@@ -152,7 +154,7 @@ class TestServiceCore:
 
         responses, batches = run(scenario())
         assert all(r["ok"] for r in responses)
-        assert (batches["count"], batches["max_size"]) == (1, 4)
+        assert (batches["count"], batches["max_size"]) == (4, 1)
 
     def test_stats_counts_everything(self):
         table = small_table()
@@ -180,9 +182,9 @@ class TestServiceCore:
 
 
 class TestDispatchRule:
-    """With ``jobs > 1`` the event loop writes each miss to an idle
-    worker as soon as one is free; a ``jobs=1`` service solves queued
-    misses in batches on its dispatcher thread."""
+    """The event loop hands each miss to an idle solver as soon as one
+    is free: a pool worker with ``jobs > 1``, the in-process solve slot
+    with ``jobs=1``."""
 
     @staticmethod
     def _requests(count: int) -> list[dict]:
@@ -355,7 +357,7 @@ class TestDispatchRule:
         assert len(pings) >= 10
         assert max(pings) < 0.1, sorted(pings)[-5:]
 
-    def test_fast_batchmate_is_answered_before_the_slow_one_ends(
+    def test_fast_miss_is_answered_before_the_slow_one_behind_it_ends(
         self, monkeypatch
     ):
         from repro.service import server as server_module
@@ -381,8 +383,8 @@ class TestDispatchRule:
 
         async def scenario():
             try:
-                # the slow request is queued before the dispatcher runs,
-                # so both share one inline batch, fast one first
+                # the fast miss takes the solve slot, the slow one
+                # queues behind it and is handed over when it frees
                 return await asyncio.gather(
                     answered_at(fast), answered_at(slow)
                 )
@@ -392,8 +394,41 @@ class TestDispatchRule:
         (fast_response, fast_at), (slow_response, _) = run(scenario())
         assert fast_response["ok"] and slow_response["ok"]
         batches = service.stats()["batches"]
-        assert (batches["count"], batches["max_size"]) == (1, 2)
+        assert (batches["count"], batches["max_size"]) == (2, 1)
         assert fast_at < slow_finished[0]
+
+    def test_stop_fails_queued_and_running_inline_jobs(self, monkeypatch):
+        """``stop()`` on ``jobs=1`` answers the job on the solve slot and
+        the queued one ``internal`` at once; the running solve's late
+        result is dropped and the queued one never starts."""
+        from repro.service import server as server_module
+
+        solve = server_module._solve_task
+        started: list[int] = []
+
+        def solve_slowly(task):
+            started.append(task.k)
+            time.sleep(0.5)
+            return solve(task)
+
+        monkeypatch.setattr(server_module, "_solve_task", solve_slowly)
+        service = AnonymizationService(jobs=1)
+
+        async def scenario():
+            answers = asyncio.gather(
+                *(service.handle(request) for request in self._requests(2))
+            )
+            await asyncio.sleep(0.1)
+            began = time.monotonic()
+            await service.stop()
+            responses = await answers
+            return responses, time.monotonic() - began
+
+        responses, waited = run(scenario())
+        assert [r.get("code") for r in responses] == ["internal"] * 2
+        assert waited < 0.3  # not after the running solve ends
+        assert started == [2]  # the queued job never started
+        assert service.cache.as_dict()["entries"] == 0
 
 
 class TestTaskShape:

@@ -159,17 +159,15 @@ class TestLoosestBudgetMerge:
             self._job(table, None),
             self._job(table, 5.0),
         ]
-        keys, tasks = AnonymizationService._merge_jobs(ready)
-        assert len(keys) == len(tasks) == 1
-        assert tasks[0].timeout is None
+        assert AnonymizationService._merge_jobs(ready).timeout is None
 
     def test_all_limited_group_takes_the_largest_remaining(self):
         table = small_table()
         ready = [self._job(table, 0.2), self._job(table, 30.0)]
-        _, tasks = AnonymizationService._merge_jobs(ready)
+        task = AnonymizationService._merge_jobs(ready)
         # pre-fix: setdefault kept the FIRST arrival's 0.2 s budget
-        assert tasks[0].timeout is not None
-        assert tasks[0].timeout > 10.0
+        assert task.timeout is not None
+        assert task.timeout > 10.0
 
     def test_trace_and_fault_merge_as_any_sharer_asked(self):
         table = small_table()
@@ -178,16 +176,42 @@ class TestLoosestBudgetMerge:
             self._job(table, None, trace=True),
             self._job(table, None, fault="kill-worker"),
         ]
-        _, tasks = AnonymizationService._merge_jobs(ready)
-        assert tasks[0].trace is True
-        assert tasks[0].fault == "kill-worker"
+        task = AnonymizationService._merge_jobs(ready)
+        assert task.trace is True
+        assert task.fault == "kill-worker"
 
     def test_distinct_keys_stay_distinct(self):
+        """Queued jobs of two keys are two solves; the two sharers of
+        one key are one, under the looser budget."""
         a, b = small_table(), quasi_identifiers(census_table(24, seed=1))
-        ready = [self._job(a, None), self._job(b, None), self._job(a, 1.0)]
-        keys, tasks = AnonymizationService._merge_jobs(ready)
-        assert len(keys) == len(tasks) == 2
-        assert len(set(keys)) == 2
+        submitted: list[_SolveTask] = []
+
+        class RecordingSolver:
+            on_idle = None
+
+            def ready(self):
+                return True
+
+            def submit(self, fn, task, done):
+                submitted.append(task)
+
+            def stats(self):
+                return {}
+
+        async def scenario():
+            service = AnonymizationService()
+            service._pool = RecordingSolver()
+            for job in (self._job(a, 1.0), self._job(b, None),
+                        self._job(a, None)):
+                job.future = asyncio.get_running_loop().create_future()
+                service._pending.append(job)
+            service._pump()
+            return service.stats()["batches"]
+
+        batches = run(scenario())
+        assert [task.csv for task in submitted] == [a.to_csv(), b.to_csv()]
+        assert submitted[0].timeout is None
+        assert (batches["count"], batches["max_size"]) == (2, 2)
 
 
 # ----------------------------------------------------------------------
@@ -278,14 +302,11 @@ class TestWorkerPool:
 
     def test_more_workers_than_cores_keep_every_result_in_order(self):
         tasks = [f"task {i} " * (i % 7 + 1) for i in range(300)]
-        heard: list[int] = []
         started = time.monotonic()
         with WorkerPool(4) as pool:
-            results = pool.run(str.upper, tasks,
-                               on_result=lambda i, _: heard.append(i))
+            results = pool.run(str.upper, tasks)
         assert time.monotonic() - started < 60
         assert results == [t.upper() for t in tasks]
-        assert sorted(heard) == list(range(len(tasks)))
         assert pool.tasks == len(tasks) and pool.rebuilds == 0
 
     @pytest.mark.skipif(not hasattr(os, "SCHED_IDLE"),

@@ -11,6 +11,7 @@ snapshot round-trips through the disk tier across a server restart.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
@@ -246,24 +247,41 @@ class TestSnapshotExport:
         ))
         assert (outcome["state"] is not None) is keep_state
 
-    def test_bypassing_sharer_keeps_a_caching_sharers_snapshot(self):
+    def test_bypassing_sharer_keeps_a_caching_sharers_snapshot(
+        self, monkeypatch
+    ):
+        """A bypassing and a caching request for one stream queue
+        together behind a slow solve and share one solve, which still
+        exports the snapshot the caching one stores."""
+        from repro.service import server as server_module
+
         base, _, _ = grown_pair()
+        other, _, _ = grown_pair(seed=2)
+        solve = server_module._solve_task
+
+        def solve_slowly(task):
+            if task.k == 2:  # marks the solve that occupies the slot
+                time.sleep(0.3)
+            return solve(task)
+
+        monkeypatch.setattr(server_module, "_solve_task", solve_slowly)
 
         async def scenario():
-            service = AnonymizationService()
+            service = AnonymizationService(jobs=1)
             try:
                 responses = await asyncio.gather(
+                    service.handle(_solve_request(other, k=2)),
                     service.handle(dict(_solve_request(base),
                                         use_cache=False)),
                     service.handle(_solve_request(base)),
                 )
             finally:
                 await service.stop()
-            return responses, service
+            return responses[1:], service
 
         (bypass, cached), service = run(scenario())
         batches = service.stats()["batches"]
-        assert (batches["count"], batches["max_size"]) == (1, 2)
+        assert (batches["count"], batches["max_size"]) == (2, 2)
         assert bypass["cache"] == "bypass" and cached["cache"] == "miss"
         assert cached["state_key"] == state_key(
             base, 3, "incremental", service.backend
