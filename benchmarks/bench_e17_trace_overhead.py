@@ -9,9 +9,9 @@ under 5% (median of repeated interleaved measurements, plus a small
 absolute epsilon so sub-millisecond workloads don't trip on timer
 noise).
 
-Run with ``REPRO_BENCH_QUICK=1`` for the CI-sized version; CI pins
-``REPRO_BACKEND=python`` so the measured work is the deterministic
-pure-Python metric path.
+Run with ``REPRO_BENCH_QUICK=1`` for the CI-sized version.  Every
+solve names the python backend (:data:`ORACLE`), so the measured work
+is the deterministic pure-Python metric path.
 """
 
 from __future__ import annotations
@@ -27,9 +27,19 @@ from repro.workloads import uniform_table
 
 from .conftest import fmt, quick_mode
 
+#: the backend every timed solve runs on: the pure-Python reference
+ORACLE = "python"
+
 #: tolerated tracing-on slowdown: 5% relative plus 5 ms absolute slack
 RELATIVE_LIMIT = 1.05
 ABSOLUTE_EPSILON = 0.005
+
+
+def _local_search() -> LocalSearchAnonymizer:
+    """Local search whose base solve runs on the oracle as well."""
+    return LocalSearchAnonymizer(
+        CenterCoverAnonymizer(backend=ORACLE), max_rounds=5, backend=ORACLE
+    )
 
 
 def _median_seconds(fn, repeats: int) -> float:
@@ -43,7 +53,7 @@ def _median_seconds(fn, repeats: int) -> float:
 
 def _measure(algorithm, table, k, repeats):
     """Interleaved off/on medians, warm cache, same instance."""
-    get_backend(table).distance_matrix()  # warm the shared cache
+    get_backend(table, ORACLE).distance_matrix()  # warm the shared cache
     algorithm.anonymize(table, k)  # warm-up run outside the timing
     off = _median_seconds(
         lambda: algorithm.anonymize(table, k, trace=False), repeats
@@ -59,9 +69,9 @@ def test_e17_trace_overhead_under_limit(benchmark, report):
     repeats = 5 if quick_mode() else 9
     table = uniform_table(n, 6, alphabet_size=4, seed=0)
     algorithms = {
-        "center_cover": CenterCoverAnonymizer(),
-        "greedy_chain": GreedyChainAnonymizer(),
-        "center_cover+local": LocalSearchAnonymizer(max_rounds=5),
+        "center_cover": CenterCoverAnonymizer(backend=ORACLE),
+        "greedy_chain": GreedyChainAnonymizer(backend=ORACLE),
+        "center_cover+local": _local_search(),
     }
 
     def measure_all():
@@ -95,8 +105,8 @@ def test_e17_deadline_check_overhead(benchmark, report):
     n = 100 if quick_mode() else 200
     repeats = 5 if quick_mode() else 9
     table = uniform_table(n, 6, alphabet_size=4, seed=1)
-    algorithm = LocalSearchAnonymizer(max_rounds=5)
-    get_backend(table).distance_matrix()
+    algorithm = _local_search()
+    get_backend(table, ORACLE).distance_matrix()
     algorithm.anonymize(table, 4)
 
     def measure():

@@ -26,7 +26,6 @@ import asyncio
 import os
 import time
 
-from repro.core.backend import default_backend_name
 from repro.pool import run_tasks
 from repro.service import AnonymizationService
 from repro.service.server import _solve_task, _SolveTask
@@ -58,9 +57,7 @@ def _spawn_per_batch_phase() -> tuple[list, float]:
     seconds cover the timed batches only."""
     tasks = [
         _SolveTask(csv=table.to_csv(), header=True, k=3,
-                   algorithm="center_cover",
-                   backend=default_backend_name(), timeout=None,
-                   trace=False)
+                   algorithm="center_cover", timeout=None, trace=False)
         for table in _tables()
     ]
     warm = run_tasks(_solve_task, tasks, 2)

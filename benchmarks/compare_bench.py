@@ -76,7 +76,6 @@ def write_baseline(path: Path, means: dict[str, float]) -> None:
     payload = {
         "version": BASELINE_VERSION,
         "quick_mode": bool(os.environ.get("REPRO_BENCH_QUICK")),
-        "backend": os.environ.get("REPRO_BACKEND") or "default",
         "machine": {
             "python": platform.python_version(),
             "system": platform.system(),

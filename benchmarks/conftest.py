@@ -13,23 +13,16 @@ import os
 
 import pytest
 
-from repro.core.backend import available_backends, default_backend_name
-
 
 def quick_mode() -> bool:
     """True when REPRO_BENCH_QUICK is set — shrink workloads for CI."""
     return bool(os.environ.get("REPRO_BENCH_QUICK"))
 
 
-def pytest_report_header(config) -> str:
-    backend = default_backend_name()
-    parts = [
-        f"repro backend: {backend} (available: "
-        f"{', '.join(available_backends())})"
-    ]
+def pytest_report_header(config) -> str | None:
     if quick_mode():
-        parts.append("repro bench mode: quick (REPRO_BENCH_QUICK)")
-    return "\n".join(parts)
+        return "repro bench mode: quick (REPRO_BENCH_QUICK)"
+    return None
 
 
 class Reporter:

@@ -54,9 +54,9 @@ class AnonymizationResult:
 class Anonymizer(abc.ABC):
     """Abstract base: produce a k-anonymous suppression of a table.
 
-    Every anonymizer accepts a ``backend=`` argument — ``None`` (honour
-    the ``REPRO_BACKEND`` environment variable), a backend name
-    (``"python"`` / ``"numpy"``), or a
+    Every anonymizer accepts a ``backend=`` argument — ``None`` (the
+    numpy runtime backend), a backend name (``"python"`` names the
+    reference oracle), or a
     :class:`repro.core.backend.DistanceBackend` instance — and routes
     all metric work (distances, diameters, ANON costs, group images)
     through it instead of ad-hoc tuple-level loops.

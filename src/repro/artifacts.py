@@ -93,11 +93,11 @@ def instance_key(
     """Content-addressed identity of one anonymization *instance*.
 
     Combines the table's :func:`table_hash` with ``k``, the algorithm's
-    canonical name, and the distance-backend name — the four inputs that
-    determine a solver's output.  The backend is part of the key on
-    purpose: the two backends are parity-tested, but a cache must never
-    *assume* bit-identical results across implementations, so entries
-    computed under different backends stay separate.
+    canonical name, and a distance-backend name.  The service always
+    passes :data:`~repro.core.backend.RUNTIME_BACKEND`; the field stays
+    so that every key is byte-identical to the ones older releases
+    wrote, and a caller keying another backend's results keeps them
+    apart.
 
     ``privacy`` (the service protocol's normalized privacy block —
     ``sensitive`` / ``l`` / ``t`` / ``epsilon``) extends the key the

@@ -29,7 +29,6 @@ import sys
 
 from repro import registry
 from repro.core.anonymity import anonymity_level, suppressed_cell_count
-from repro.core.backend import available_backends, default_backend_name
 from repro.core.metrics import metric_report
 from repro.instrument import BudgetExceededError, format_trace
 from repro.io import read_csv, write_csv
@@ -204,10 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="admission cap: reject requests asking for more budget",
     )
     serve.add_argument(
-        "--backend", choices=["python", "numpy"], default=None,
-        help="distance backend for all solves (default: REPRO_BACKEND)",
-    )
-    serve.add_argument(
         "--max-tasks-per-child", type=int, default=None, metavar="N",
         help="recycle each --jobs worker after N tasks",
     )
@@ -250,11 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     route.add_argument(
         "--ping-timeout", type=float, default=2.0, metavar="SECONDS",
         help="budget for one health-check ping (default: 2.0)",
-    )
-    route.add_argument(
-        "--backend", choices=["python", "numpy"], default=None,
-        help="backend baked into routing keys — must match the shards' "
-             "(default: REPRO_BACKEND)",
     )
 
     submit = sub.add_parser(
@@ -370,13 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """Shared per-run flags: backend selection, deadline, tracing."""
-    parser.add_argument(
-        "--backend",
-        choices=["python", "numpy"],
-        default=None,
-        help="distance backend (default: the REPRO_BACKEND env variable)",
-    )
+    """Shared per-run flags: deadline, tracing."""
     parser.add_argument(
         "--timeout",
         type=float,
@@ -436,8 +420,6 @@ def _list_algorithms(args) -> int:
             "features": None if features is None else {
                 "n": args.n, "m": args.m, "sigma": args.sigma, "k": args.k,
             },
-            "backends": available_backends(),
-            "default_backend": default_backend_name(),
         }, indent=2))
         return 0
     name_width = max(len(info.name) for info in infos)
@@ -466,8 +448,6 @@ def _list_algorithms(args) -> int:
             print(f"{'':<{name_width}}  aliases: {', '.join(info.aliases)}")
         if info.summary:
             print(f"{'':<{name_width}}  {info.summary}")
-    print(f"backends: {', '.join(available_backends())} "
-          f"(default: {default_backend_name()})")
     return 0
 
 
@@ -504,8 +484,7 @@ def _run_experiment(args) -> int:
         })
         exp = ratio_experiment(
             registry.create(algorithm_name), k=args.k, trials=args.trials,
-            backend=args.backend, timeout=args.timeout, trace=trace,
-            jobs=args.jobs, store=store,
+            timeout=args.timeout, trace=trace, jobs=args.jobs, store=store,
         )
         bound = "none" if exp.bound is None else f"{exp.bound:.1f}"
         print(f"{exp.algorithm}, k={exp.k}: "
@@ -536,8 +515,7 @@ def _run_experiment(args) -> int:
             "workload": "census-120-seed0", "epsilon": 1.0,
         })
         exp = privacy_experiment(
-            backend=args.backend, timeout=args.timeout, trace=trace,
-            jobs=args.jobs, store=store,
+            timeout=args.timeout, trace=trace, jobs=args.jobs, store=store,
         )
         print(f"{exp.algorithm} on census n={exp.n}, ε={exp.epsilon:g}:")
         for point in exp.points:
@@ -558,8 +536,7 @@ def _run_experiment(args) -> int:
     store = _experiment_store(args, "k_sweep", {
         "workload": "census-120-seed0",
     })
-    for point in k_sweep(table, backend=args.backend,
-                         timeout=args.timeout, trace=trace,
+    for point in k_sweep(table, timeout=args.timeout, trace=trace,
                          jobs=args.jobs, store=store):
         print(f"k={point.k}: {point.stars} stars, "
               f"precision {point.precision:.3f}, {point.classes} classes")
@@ -597,7 +574,6 @@ def _serve(args) -> int:
         max_entries=args.cache_size,
         cache_dir=args.cache_dir,
         jobs=args.jobs,
-        backend=args.backend,
         max_timeout=args.max_timeout,
         max_tasks_per_child=args.max_tasks_per_child,
         fault_injection=True if args.inject_faults else None,
@@ -624,7 +600,7 @@ def _render_stats(stats: dict) -> None:
     """Print the ``--stats`` report (single server or merged fleet)."""
     cache = stats["cache"]
     print(f"uptime: {stats['uptime_seconds']:.1f}s  "
-          f"backend: {stats['backend']}  jobs: {stats['jobs']}")
+          f"jobs: {stats['jobs']}")
     solved = ""
     if "solved_instances" in stats:
         solved = f"  solved instances: {stats['solved_instances']}"
@@ -797,7 +773,6 @@ def _route(args) -> int:
         router = ShardRouter(
             args.shards,
             vnodes=args.vnodes,
-            backend=args.backend,
             health_interval=args.health_interval,
             ping_timeout=args.ping_timeout,
         )
@@ -838,12 +813,9 @@ def _dispatch(args) -> int:
             # the wrapper's template path splits off the last column,
             # anonymizes the rest, and reattaches it untouched — the
             # release keeps the input's schema
-            algorithm = LDiverseAnonymizer(
-                args.ldiv, inner=algorithm, backend=args.backend
-            )
+            algorithm = LDiverseAnonymizer(args.ldiv, inner=algorithm)
         result = algorithm.anonymize(
-            table, args.k,
-            backend=args.backend, timeout=args.timeout, trace=trace,
+            table, args.k, timeout=args.timeout, trace=trace,
         )
         plan = result.extras.get("plan")
         if plan is not None:

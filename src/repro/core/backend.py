@@ -33,11 +33,12 @@ gives those primitives a single pluggable home:
   candidates counted over it, and vectorized group reductions over
   index arrays.
 
-Backend selection: the ``REPRO_BACKEND`` environment variable
-(``python`` or ``numpy``) picks the default for the whole process;
-unset, the numpy backend is used.
-Every :class:`~repro.algorithms.base.Anonymizer` also accepts an
-explicit ``backend=`` argument (a name or a backend instance).
+Backend selection: every process runs the numpy backend
+(:data:`RUNTIME_BACKEND`).  The python backend is reached only by name
+— ``make_backend(table, "python")``, ``get_backend(table, "python")``
+or ``backend="python"`` on an
+:class:`~repro.algorithms.base.Anonymizer` — as the oracle the tests
+and benchmarks compare against.
 
 All backends are bit-identical on every primitive — property-tested in
 ``tests/test_backend_parity.py``.
@@ -46,7 +47,6 @@ All backends are bit-identical on every primitive — property-tested in
 from __future__ import annotations
 
 import abc
-import os
 import weakref
 from bisect import bisect_right
 from collections import defaultdict
@@ -74,17 +74,14 @@ def available_backends() -> tuple[str, ...]:
     return tuple(_BACKEND_CLASSES)
 
 
-def default_backend_name() -> str:
-    """The process-wide default: ``$REPRO_BACKEND``, else numpy.
+#: the backend every solve runs on unless a caller names another, and
+#: the backend field of every instance and state key
+RUNTIME_BACKEND = "numpy"
 
-    :raises ValueError: if ``REPRO_BACKEND`` names an unknown backend.
-    """
-    name = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    if name and name not in ("python", "numpy"):
-        raise ValueError(
-            f"REPRO_BACKEND={name!r}: expected 'python' or 'numpy'"
-        )
-    return name or "numpy"
+
+def default_backend_name() -> str:
+    """The backend a solve uses when none is named: :data:`RUNTIME_BACKEND`."""
+    return RUNTIME_BACKEND
 
 
 # ----------------------------------------------------------------------

@@ -127,8 +127,7 @@ def anon_cost(rows: Sequence[Sequence[Hashable]]) -> int:
 #
 # These delegate to the table's shared DistanceBackend
 # (:mod:`repro.core.backend`), so repeated queries about the same group
-# hit the backend's memo and the REPRO_BACKEND env var picks the
-# implementation.  Pass ``backend=`` to pin one explicitly.
+# hit the backend's memo.  Pass ``backend=`` to pin one explicitly.
 # ----------------------------------------------------------------------
 
 

@@ -8,20 +8,21 @@ command).  Each runner is deterministic given its seed.
 
 Three orthogonal knobs thread through every runner:
 
-* ``backend=`` / ``timeout=`` / ``trace=`` are applied *per call* to the
+* ``timeout=`` / ``trace=`` are applied *per call* to the
   algorithms — a caller-owned anonymizer instance is never reconfigured
   (or even reused: every trial runs on a fresh deep copy, so stateful
   algorithms like simulated annealing see identical RNG state no matter
-  how trials are scheduled).
+  how trials are scheduled).  The copy keeps the instance's own
+  ``backend``, so ``CenterCoverAnonymizer(backend="python")`` runs a
+  sweep on the reference oracle.
 * ``jobs=`` runs independent trials on a
   :class:`~repro.pool.WorkerPool` of **spawn**-context worker
   processes.  Per-trial seeds come from
   ``np.random.SeedSequence(base_seed, spawn_key=(trial,))`` — the spawn
   tree is indexed by trial, not by scheduling order, so ``jobs=1`` and
-  ``jobs=N`` produce bit-identical results.  Workers re-resolve the
-  distance backend in their own process (honouring ``REPRO_BACKEND``),
-  and a :class:`~repro.instrument.BudgetExceededError` raised by any
-  worker cancels the remaining trials and propagates.
+  ``jobs=N`` produce bit-identical results.  A
+  :class:`~repro.instrument.BudgetExceededError` raised by any worker
+  cancels the remaining trials and propagates.
 * ``store=`` (a :class:`repro.artifacts.RunStore`) makes a sweep
   resumable: each finished trial appends a JSON record; on resume the
   workload is regenerated from its seed, its hash is checked against
@@ -198,7 +199,6 @@ class _RatioTask:
     sigma: int
     base_seed: int
     trial: int
-    backend: str | None
     timeout: float | None
     trace: bool | None
 
@@ -211,11 +211,10 @@ def _ratio_trial(task: _RatioTask) -> dict[str, Any]:
                         task.sigma)
     algorithm = _fresh_copy(task.algorithm)
     started = time.perf_counter()
-    opt, _ = optimal_anonymization(table, task.k, backend=task.backend)
+    opt, _ = optimal_anonymization(table, task.k)
     opt_seconds = time.perf_counter() - started
     result = algorithm.anonymize(
-        table, task.k, backend=task.backend, timeout=task.timeout,
-        trace=task.trace,
+        table, task.k, timeout=task.timeout, trace=task.trace,
     )
     return {
         "trial": task.trial,
@@ -240,7 +239,6 @@ def ratio_experiment(
     sigma: int = 3,
     trials: int = 20,
     base_seed: int = 0,
-    backend: str | None = None,
     timeout: float | None = None,
     trace: bool | None = None,
     jobs: int = 1,
@@ -252,12 +250,12 @@ def ratio_experiment(
 
     *algorithm* may be an :class:`Anonymizer` instance, a registry name
     or alias, or ``"auto"`` (planner dispatch per trial; carries no
-    proven bound — see :func:`resolve_algorithm`).  ``backend`` /
-    ``timeout`` / ``trace`` are passed per call to a fresh copy of the
-    algorithm (the caller's *algorithm* instance is never mutated).
-    ``jobs`` fans trials out over processes; ``store`` makes the sweep
-    resumable (completed trials are verified against their recorded
-    instance hash, then reused).
+    proven bound — see :func:`resolve_algorithm`).  ``timeout`` /
+    ``trace`` are passed per call to a fresh copy of the algorithm (the
+    caller's *algorithm* instance is never mutated).  ``jobs`` fans
+    trials out over processes; ``store`` makes the sweep resumable
+    (completed trials are verified against their recorded instance
+    hash, then reused).
 
     :raises ValueError: if ``trials < 1`` (the ratio statistics are
         undefined on an empty experiment).
@@ -283,8 +281,8 @@ def ratio_experiment(
 
     tasks = [
         _RatioTask(algorithm=algorithm, k=k, n=n, m=m, sigma=sigma,
-                   base_seed=base_seed, trial=t, backend=backend,
-                   timeout=timeout, trace=trace)
+                   base_seed=base_seed, trial=t, timeout=timeout,
+                   trace=trace)
         for t in pending
     ]
     for t, outcome in zip(pending, run_tasks(_ratio_trial, tasks, jobs)):
@@ -496,7 +494,6 @@ class _SweepTask:
     table: Table
     k: int
     algorithm: Anonymizer
-    backend: str | None
     timeout: float | None
     trace: bool | None
 
@@ -505,8 +502,7 @@ def _sweep_point(task: _SweepTask) -> dict[str, Any]:
     algorithm = _fresh_copy(task.algorithm)
     started = time.perf_counter()
     result = algorithm.anonymize(
-        task.table, task.k, backend=task.backend, timeout=task.timeout,
-        trace=task.trace,
+        task.table, task.k, timeout=task.timeout, trace=task.trace,
     )
     report = metric_report(result.anonymized, task.k)
     return {
@@ -525,7 +521,6 @@ def k_sweep(
     table: Table,
     ks: tuple[int, ...] = (2, 3, 4, 5, 6, 8),
     algorithm: "Anonymizer | str | None" = None,
-    backend: str | None = None,
     timeout: float | None = None,
     trace: bool | None = None,
     jobs: int = 1,
@@ -534,11 +529,11 @@ def k_sweep(
     """Cost/utility across k — the E10 series on any table.
 
     *algorithm* may be an instance, a registry name, or ``"auto"``
-    (planner dispatch per k cell).  ``backend`` / ``timeout`` /
-    ``trace`` apply per call to a fresh copy of the algorithm; the
-    caller's instance is never mutated.  ``jobs`` runs the k cells
-    concurrently; with a ``store`` each cell records the table's hash,
-    and a resumed sweep verifies it before reusing the cell.
+    (planner dispatch per k cell).  ``timeout`` / ``trace`` apply per
+    call to a fresh copy of the algorithm; the caller's instance is
+    never mutated.  ``jobs`` runs the k cells concurrently; with a
+    ``store`` each cell records the table's hash, and a resumed sweep
+    verifies it before reusing the cell.
     """
     from repro.algorithms.center_cover import CenterCoverAnonymizer
 
@@ -562,7 +557,7 @@ def k_sweep(
 
     tasks = [
         _SweepTask(table=table, k=ks[index], algorithm=algorithm,
-                   backend=backend, timeout=timeout, trace=trace)
+                   timeout=timeout, trace=trace)
         for index in pending
     ]
     for index, outcome in zip(pending, run_tasks(_sweep_point, tasks, jobs)):
@@ -651,7 +646,6 @@ class _PrivacyTask:
     algorithm: Anonymizer
     epsilon: float
     base_seed: int
-    backend: str | None
     timeout: float | None
     trace: bool | None
 
@@ -679,8 +673,7 @@ def _privacy_point(task: _PrivacyTask) -> dict[str, Any]:
         algorithm = _fresh_copy(task.algorithm)
         started = time.perf_counter()
         result = algorithm.anonymize(
-            identifiers, task.k, backend=task.backend,
-            timeout=task.timeout, trace=task.trace,
+            identifiers, task.k, timeout=task.timeout, trace=task.trace,
         )
         solve_times.append(time.perf_counter() - started)
     released = reattach_sensitive(
@@ -729,7 +722,6 @@ def privacy_experiment(
     algorithm: "Anonymizer | str | None" = None,
     epsilon: float = 1.0,
     base_seed: int = 0,
-    backend: str | None = None,
     timeout: float | None = None,
     trace: bool | None = None,
     jobs: int = 1,
@@ -776,7 +768,7 @@ def privacy_experiment(
 
     tasks = [
         _PrivacyTask(n=n, k=ks[index], algorithm=algorithm,
-                     epsilon=epsilon, base_seed=base_seed, backend=backend,
+                     epsilon=epsilon, base_seed=base_seed,
                      timeout=timeout, trace=trace)
         for index in pending
     ]
@@ -804,7 +796,6 @@ class _ComparisonTask:
     k: int
     name: str
     factory: Callable[[], Anonymizer]
-    backend: str | None
     timeout: float | None
     trace: bool | None
 
@@ -813,8 +804,7 @@ def _comparison_cell(task: _ComparisonTask) -> dict[str, Any]:
     algorithm = task.factory()
     started = time.perf_counter()
     result = algorithm.anonymize(
-        task.table, task.k, backend=task.backend, timeout=task.timeout,
-        trace=task.trace,
+        task.table, task.k, timeout=task.timeout, trace=task.trace,
     )
     if not result.is_valid(task.table):
         raise AssertionError(f"{task.name} produced an invalid release")
@@ -840,7 +830,6 @@ def comparison(
     table: Table,
     k: int,
     algorithms: dict[str, Callable[[], Anonymizer]] | None = None,
-    backend: str | None = None,
     timeout: float | None = None,
     trace: bool | None = None,
     traces_out: dict[str, dict] | None = None,
@@ -852,7 +841,7 @@ def comparison(
     The default line-up is resolved through the registry
     (:data:`DEFAULT_COMPARISON_ALGORITHMS`); pass a ``{name: factory}``
     dict to override it (factories must be picklable for ``jobs > 1``).
-    ``backend`` / ``timeout`` / ``trace`` apply per call without
+    ``timeout`` / ``trace`` apply per call without
     mutating the constructed anonymizers; pass a dict as *traces_out*
     to collect each algorithm's run trace under its name.
     """
@@ -874,8 +863,8 @@ def comparison(
 
     tasks = [
         _ComparisonTask(table=table, k=k, name=name,
-                        factory=algorithms[name], backend=backend,
-                        timeout=timeout, trace=trace)
+                        factory=algorithms[name], timeout=timeout,
+                        trace=trace)
         for name in pending
     ]
     for name, outcome in zip(pending,

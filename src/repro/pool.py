@@ -24,17 +24,6 @@ from multiprocessing import get_context
 from typing import Any, Callable
 
 
-def _worker_init(backend_default: str | None) -> None:
-    """Per-worker initialization under the spawn start method.
-
-    The parent's ``REPRO_BACKEND`` choice is re-exported explicitly so
-    the worker's lazily-resolved default backend matches the parent's
-    even if the environment diverged between spawn and first use.
-    """
-    if backend_default:
-        os.environ["REPRO_BACKEND"] = backend_default
-
-
 #: ``done(ok, value)``: a task's result (``ok``) or the exception it hit
 DoneCallback = Callable[[bool, Any], None]
 
@@ -67,14 +56,13 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _worker_main(tasks, results, backend_default: str | None) -> None:
+def _worker_main(tasks, results) -> None:
     """A pool worker process: run ``(fn, task)`` frames until EOF.
 
     Its first frame is empty and says the worker has booted; after that
     it writes one ``(ok, value)`` frame per task, *value* being the
     result or the exception the task raised.
     """
-    _worker_init(backend_default)
     source, sink = tasks.fileno(), results.fileno()
     try:
         _write_all(sink, _frame(b""))
@@ -106,13 +94,13 @@ class _Worker:
     pipes: ``tasks`` to write to and ``results`` to read from, both
     non-blocking."""
 
-    def __init__(self, backend_default: str | None):
+    def __init__(self) -> None:
         context = get_context("spawn")
         task_reader, self.tasks = context.Pipe(duplex=False)
         self.results, result_writer = context.Pipe(duplex=False)
         self.process = context.Process(
             target=_worker_main,
-            args=(task_reader, result_writer, backend_default),
+            args=(task_reader, result_writer),
             daemon=True,
         )
         self.process.start()
@@ -247,11 +235,10 @@ class WorkerPool:
         """Spawn a worker into every empty slot."""
         if None not in self._workers:
             return
-        backend = os.environ.get("REPRO_BACKEND") or None
         workers = list(self._workers)
         for slot, worker in enumerate(workers):
             if worker is None:
-                workers[slot] = worker = _Worker(backend)
+                workers[slot] = worker = _Worker()
                 self._driver.add_reader(
                     worker.results.fileno(), self._on_readable, worker
                 )

@@ -18,10 +18,9 @@ Cache-key semantics worth spelling out:
 * Two tables differing in *any* cell, in attribute names, or in column
   order hash differently — the key is built on the full relation
   content, not a sketch.
-* The distance backend is part of the key.  The backends are
-  parity-tested, but a cache must never *assume* bit-identical output
-  across implementations, so ``python`` and ``numpy`` entries stay
-  separate even for identical tables.
+* The key carries a backend name, which the service always fills with
+  the one runtime backend (``numpy``), so every server and router keys
+  a request alike.
 * Deadline-degraded results (``extras["deadline_hit"]``) must not be
   stored: a budget-truncated release is a property of that request's
   budget, not of the instance.  The service layer enforces this; the

@@ -349,7 +349,7 @@ class ServiceClient:
 
         :raises ServiceError: ``unknown-state`` when no state lives
             under *state_key* (wrong key, evicted memory-only cache, or
-            a backend mismatch); ``bad-request`` on a k / degree /
+            a corrupt entry); ``bad-request`` on a k / degree /
             attribute mismatch with the stored stream.
         """
         csv = rows.to_csv(header=header) if isinstance(rows, Table) else rows

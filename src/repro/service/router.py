@@ -17,7 +17,7 @@ request lands on the shard that caches it:
   the *resolved* algorithm (aliases canonicalized, ``auto`` planned
   from the request's own ``timeout`` — so an auto request and the
   explicit request it resolves to land on the same shard and share its
-  cache entry), and the router's backend;
+  cache entry);
 * ``anonymize`` with ``algorithm: "incremental"`` routes on the state
   key instead, placing the solve on the shard that must later serve
   ``delta`` requests against its snapshot;
@@ -76,7 +76,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.core.backend import default_backend_name
 from repro.instrument import Counters
 from repro.service.hashring import DEFAULT_VNODES, HashRing
 from repro.service.server import PROTOCOL_VERSION, admit
@@ -148,9 +147,8 @@ def merge_shard_stats(per_shard: dict[str, dict]) -> dict[str, Any]:
     consumer works unchanged against a router): summed ``cache`` /
     ``requests`` / ``rejected`` / ``coalesced`` / ``planned`` /
     ``solved_instances`` counters, summed ``jobs``, batch shape with a
-    size-weighted mean, the fleet-wide ``hit_rate`` recomputed from the
-    summed counters, and ``backend`` collapsed when uniform (else the
-    sorted comma-joined set).  The ``privacy`` ledger sums per-dataset
+    size-weighted mean, and the fleet-wide ``hit_rate`` recomputed from
+    the summed counters.  The ``privacy`` ledger sums per-dataset
     ε spends across shards (sequential composition holds fleet-wide)
     and keeps ``budget`` when uniform.  Pure and transport-free on
     purpose — unit-tested in isolation.
@@ -169,7 +167,6 @@ def merge_shard_stats(per_shard: dict[str, dict]) -> dict[str, Any]:
         "planned": 0,
         "solved_instances": 0,
     }
-    backends: set[str] = set()
     batch_count = 0
     batch_max = 0
     batch_jobs = 0.0
@@ -184,7 +181,6 @@ def merge_shard_stats(per_shard: dict[str, dict]) -> dict[str, Any]:
             privacy_spent[dataset] = (
                 privacy_spent.get(dataset, 0.0) + float(spent)
             )
-        backends.add(str(stats.get("backend", "?")))
         merged["uptime_seconds"] = max(
             merged["uptime_seconds"], float(stats.get("uptime_seconds", 0.0))
         )
@@ -207,9 +203,6 @@ def merge_shard_stats(per_shard: dict[str, dict]) -> dict[str, Any]:
         merged_cache["hits"] / lookups if lookups else 0.0
     )
     merged_cache["disk"] = None
-    merged["backend"] = (
-        backends.pop() if len(backends) == 1 else ",".join(sorted(backends))
-    )
     merged["requests"] = requests
     merged["cache"] = merged_cache
     merged["batches"] = {
@@ -234,9 +227,6 @@ class ShardRouter:
 
     :param shards: the fleet — ``host:port`` strings or tuples.
     :param vnodes: virtual nodes per shard on the hash ring.
-    :param backend: backend name baked into routing keys; must match
-        the shards' backend for router-side keys to equal shard-side
-        cache keys (default: the process default, ``REPRO_BACKEND``).
     :param health_interval: seconds between background ping sweeps
         (0 disables the sweep; per-request failover still evicts).
     :param ping_timeout: budget for one health-check ping.
@@ -254,7 +244,6 @@ class ShardRouter:
         shards: Iterable[str | tuple[str, int]],
         *,
         vnodes: int = DEFAULT_VNODES,
-        backend: str | None = None,
         health_interval: float = 1.0,
         ping_timeout: float = 2.0,
         connect_timeout: float = 5.0,
@@ -268,7 +257,6 @@ class ShardRouter:
             raise ValueError("health_interval cannot be negative")
         self.ring = HashRing(addresses, vnodes=vnodes)
         self.shards = {addr: ShardState(addr) for addr in addresses}
-        self.backend = backend or default_backend_name()
         self.health_interval = health_interval
         self.ping_timeout = ping_timeout
         self.connect_timeout = connect_timeout
@@ -292,7 +280,7 @@ class ShardRouter:
         return (
             f"kanon router listening on {host}:{port} over "
             f"{len(self.shards)} shard(s) "
-            f"(vnodes={self.ring.vnodes}, backend={self.backend})"
+            f"(vnodes={self.ring.vnodes})"
         )
 
     def connection_fault(self, request: Any) -> None:
@@ -330,7 +318,7 @@ class ShardRouter:
         the protocol error, keeping validation single-sourced.
         """
         try:
-            return admit(request, self.backend).routing_key
+            return admit(request).routing_key
         except Exception:  # noqa: BLE001 - unroutable, not invalid
             return None
 
@@ -456,29 +444,32 @@ class ShardRouter:
         self, address: str, stream: _Stream, line: bytes
     ) -> dict[str, Any]:
         """One exchange on *stream*, which is checked back in only after
-        a complete response line and closed on any failure or
-        cancellation, or when the shard already has
-        :data:`MAX_IDLE_STREAMS` idle."""
+        a complete response line.  On any failure or cancellation, or
+        when the shard already has :data:`MAX_IDLE_STREAMS` idle, it is
+        closed and its transport awaited."""
         try:
             response = await self._round_trip(address, stream, line)
         except BaseException:
-            stream[1].close()
+            await _closed(stream[1])
             raise
         idle = self._idle[address]
         if len(idle) < MAX_IDLE_STREAMS and self.shards[address].alive:
             idle.append(stream)
         else:
-            stream[1].close()
+            await _closed(stream[1])
         return response
 
     def _check_out(self, address: str) -> _Stream | None:
         """An open idle stream to *address* on this loop, if any."""
         loop = asyncio.get_running_loop()
         if self._idle_loop is not loop:
-            # streams of another (finished) loop can never be read
-            # again; they are dropped, not reused
-            self._idle = {addr: [] for addr in self._idle}
-            self._idle_loop = loop
+            # streams of another loop can never be read on this one:
+            # they are dropped, and closed while their loop still can
+            old, self._idle_loop = self._idle_loop, loop
+            for addr in self._idle:
+                if old is not None and not old.is_closed():
+                    self._drop_idle(addr)
+                self._idle[addr] = []
         idle = self._idle[address]
         while idle:
             reader, writer = idle.pop()
@@ -530,7 +521,6 @@ class ShardRouter:
         return {
             "protocol": PROTOCOL_VERSION,
             "uptime_seconds": time.time() - self.started_at,
-            "backend": self.backend,
             "vnodes": self.ring.vnodes,
             "shards_alive": len(self.ring),
             "shards_total": len(self.shards),

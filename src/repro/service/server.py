@@ -122,7 +122,7 @@ from repro.algorithms.incremental import (
     IncrementalState,
 )
 from repro.artifacts import _key_from_hash, table_hash
-from repro.core.backend import default_backend_name
+from repro.core.backend import RUNTIME_BACKEND
 from repro.core.table import Table
 from repro.instrument import BudgetExceededError, TimeBudget, summarize_traces
 from repro.planner import InstanceFeatures, plan_features, sigma_of
@@ -165,7 +165,6 @@ class _SolveTask:
     header: bool
     k: int
     algorithm: str
-    backend: str
     timeout: float | None
     trace: bool
     #: fault-injection marker (only ever set when the service was
@@ -269,13 +268,13 @@ def _solve_with_privacy(
             wrapper = None
         if wrapper is not None:
             result = wrapper.anonymize_with_sensitive(
-                identifiers, task.k, values, backend=task.backend,
-                timeout=task.timeout, trace=task.trace,
+                identifiers, task.k, values, timeout=task.timeout,
+                trace=task.trace,
             )
         else:
             result = algorithm.anonymize(
-                identifiers, task.k, backend=task.backend,
-                timeout=task.timeout, trace=task.trace,
+                identifiers, task.k, timeout=task.timeout,
+                trace=task.trace,
             )
         qi_release = result.anonymized
         result = replace_release(
@@ -284,8 +283,7 @@ def _solve_with_privacy(
         )
     else:
         result = algorithm.anonymize(
-            table, task.k, backend=task.backend, timeout=task.timeout,
-            trace=task.trace,
+            table, task.k, timeout=task.timeout, trace=task.trace,
         )
         qi_release = result.anonymized
     dp = None
@@ -312,8 +310,7 @@ def _solve_instance(task: _SolveTask) -> dict[str, Any]:
             result, dp = _solve_with_privacy(table, algorithm, task)
         else:
             result = algorithm.anonymize(
-                table, task.k, backend=task.backend, timeout=task.timeout,
-                trace=task.trace,
+                table, task.k, timeout=task.timeout, trace=task.trace,
             )
     except BudgetExceededError as exc:
         return {"error": str(exc), "code": "budget-exceeded"}
@@ -332,7 +329,7 @@ def _solve_instance(task: _SolveTask) -> dict[str, Any]:
         "stars": result.stars,
         "algorithm": task.algorithm,
         "k": task.k,
-        "backend": task.backend,
+        "backend": RUNTIME_BACKEND,
         "deadline_hit": bool(result.extras.get("deadline_hit")),
         "solve_seconds": time.perf_counter() - started,
         "trace": result.extras.get("trace"),
@@ -384,7 +381,7 @@ def _solve_delta(task: _SolveTask) -> dict[str, Any]:
         "stars": engine.total_stars(),
         "algorithm": "incremental",
         "k": task.k,
-        "backend": task.backend,
+        "backend": RUNTIME_BACKEND,
         "deadline_hit": False,
         "solve_seconds": time.perf_counter() - started,
         "trace": None,
@@ -599,22 +596,22 @@ def _unbudgeted_plan(features: InstanceFeatures) -> tuple[str, dict]:
     return decision.algorithm, decision.to_dict()
 
 
-def admit(request: Any, backend: str) -> Admission:
+def admit(request: Any) -> Admission:
     """Validate, resolve and key one ``anonymize`` or ``delta`` request.
 
     The one request → solver → key path of the fleet: the shard router
     places a request by ``routing_key`` and the shard caches it under
-    ``key`` / ``state_key``, both computed here from the request and the
-    distance *backend* alone.  ``auto`` plans against the request's own
-    ``timeout`` (or the planner's soft cap), never a server's cap, so
-    router and shard resolve the same solver.  The table is parsed once
-    and hashed once; every key derives from that one hash, and the
-    parsed table rides on the admission so the solve need not parse it
-    again.  A repeated ``anonymize`` skips even that: its hash, shape
-    and σ are remembered by the digest of its CSV text, and an
-    unbudgeted ``auto`` plan by its instance features (both memos hold
-    :data:`ADMISSION_MEMO_SIZE` entries).  Every field is still
-    validated on every request.
+    ``key`` / ``state_key``, both computed here from the request alone,
+    so router and shard key alike by construction.  ``auto`` plans
+    against the request's own ``timeout`` (or the planner's soft cap),
+    never a server's cap, so router and shard resolve the same solver.
+    The table is parsed once and hashed once; every key derives from
+    that one hash, and the parsed table rides on the admission so the
+    solve need not parse it again.  A repeated ``anonymize`` skips even
+    that: its hash, shape and σ are remembered by the digest of its CSV
+    text, and an unbudgeted ``auto`` plan by its instance features (both
+    memos hold :data:`ADMISSION_MEMO_SIZE` entries).  Every field is
+    still validated on every request.
 
     Raises :class:`ServiceError` on an invalid request.
     """
@@ -697,12 +694,14 @@ def admit(request: Any, backend: str) -> Admission:
                 "incremental streaming algorithm",
             )
     digest = facts.digest
-    key = _key_from_hash(digest, k, algorithm, backend, privacy)
+    key = _key_from_hash(digest, k, algorithm, RUNTIME_BACKEND, privacy)
     state = None
     if algorithm == "incremental":
         # snapshot affinity: the solve lands on the shard that later
         # ``delta`` requests (routed by this state key) reach
-        state = _key_from_hash(digest, k, algorithm, backend, state=True)
+        state = _key_from_hash(
+            digest, k, algorithm, RUNTIME_BACKEND, state=True
+        )
     return Admission(
         op=op, routing_key=state or key, csv=csv, header=header,
         table=table, k=k, algorithm=algorithm, timeout=timeout,
@@ -735,19 +734,21 @@ class _Job:
 
 class _InlineSlot:
     """The ``jobs=1`` solver: one solve at a time, in this process, on a
-    thread of the event loop's default executor.
+    daemon thread of its own that posts the result back to the loop.
 
     It keeps the event-loop half of :class:`~repro.pool.WorkerPool`'s
     contract (:meth:`ready`, :meth:`submit`, :attr:`on_idle`,
     :meth:`stats`, :meth:`close`), so the service drives both alike.
     A thread cannot be stopped: :meth:`close` fails the solve in flight
-    at once, and its result is dropped when it comes.
+    at once and its result is dropped when it comes.  Neither the
+    loop's shutdown nor interpreter exit waits for that thread.
     """
 
     def __init__(self) -> None:
         #: called on the loop when the slot turns idle
         self.on_idle: Callable[[], None] | None = None
-        self._running: asyncio.Future | None = None
+        #: the solve in flight (a token its result is checked against)
+        self._running: object | None = None
         self._done: DoneCallback | None = None
 
     def ready(self) -> bool:
@@ -760,19 +761,28 @@ class _InlineSlot:
         the loop with its result or its exception."""
         if self._running is not None:
             raise RuntimeError("the solve slot is busy: submit after ready()")
+        loop = asyncio.get_running_loop()
         self._done = done
-        self._running = asyncio.get_running_loop().run_in_executor(
-            None, fn, task
-        )
-        self._running.add_done_callback(self._finished)
+        self._running = token = object()
 
-    def _finished(self, future: asyncio.Future) -> None:
-        error = future.exception()  # read even when dropped
-        if future is not self._running:
+        def solve() -> None:
+            try:
+                outcome = (True, fn(task))
+            except BaseException as exc:  # noqa: BLE001 - sent to the loop
+                outcome = (False, exc)
+            try:
+                loop.call_soon_threadsafe(self._finished, token, *outcome)
+            except RuntimeError:
+                pass  # the loop closed first: nobody waits for it
+
+        threading.Thread(target=solve, name="kanon-solve", daemon=True).start()
+
+    def _finished(self, token: object, ok: bool, value: Any) -> None:
+        if token is not self._running:
             return  # closed while it ran: the late result is dropped
         done, self._running, self._done = self._done, None, None
         assert done is not None
-        done(error is None, future.result() if error is None else error)
+        done(ok, value)
         if self.on_idle is not None:
             self.on_idle()
 
@@ -799,8 +809,6 @@ class AnonymizationService:
         ``jobs=1`` each miss solves in this process, on a thread, one at
         a time.  Either way each queued miss goes to the next idle
         solver, oldest first.
-    :param backend: distance backend for all solves (default: the
-        process default, i.e. ``REPRO_BACKEND``).
     :param default_timeout: budget applied to requests that send none.
     :param max_timeout: admission cap — requests asking for more are
         rejected up front rather than allowed to occupy workers.
@@ -826,7 +834,6 @@ class AnonymizationService:
         max_entries: int = 256,
         cache_dir: str | None = None,
         jobs: int = 1,
-        backend: str | None = None,
         default_timeout: float | None = None,
         max_timeout: float | None = None,
         max_tasks_per_child: int | None = None,
@@ -839,7 +846,6 @@ class AnonymizationService:
             max_entries=max_entries, directory=cache_dir,
         )
         self.jobs = jobs
-        self.backend = backend or default_backend_name()
         self.default_timeout = default_timeout
         self.max_timeout = max_timeout
         if fault_injection is None:
@@ -897,7 +903,7 @@ class AnonymizationService:
         """The front end's startup line."""
         return (
             f"kanon service listening on {host}:{port} "
-            f"(backend={self.backend}, jobs={self.jobs}, "
+            f"(jobs={self.jobs}, "
             f"cache={self.cache.max_entries} entries)"
         )
 
@@ -1073,7 +1079,7 @@ class AnonymizationService:
         reached a solver.  A task for a worker process carries the CSV
         text; the inline solve takes the table admission parsed.
         """
-        admission = admit(request, self.backend)
+        admission = admit(request)
         timeout = (
             admission.timeout if "timeout" in request
             else self.default_timeout
@@ -1099,8 +1105,8 @@ class AnonymizationService:
         task = _SolveTask(
             csv=admission.csv if table is None else None,
             table=table, header=admission.header, k=k,
-            algorithm=admission.algorithm, backend=self.backend,
-            timeout=timeout, trace=admission.trace,
+            algorithm=admission.algorithm, timeout=timeout,
+            trace=admission.trace,
             fault=self._admitted_fault(request),
             privacy=(
                 tuple(sorted(privacy.items()))
@@ -1145,18 +1151,11 @@ class AnonymizationService:
             )
         try:
             state = IncrementalState.from_dict(entry["state"])
-            stored_backend = str(entry["backend"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(
                 "unknown-state",
                 f"state stored under {key!r} is unusable: {exc}",
             ) from None
-        if stored_backend != self.backend:
-            raise ServiceError(
-                "unknown-state",
-                f"state under {key!r} was computed under backend "
-                f"{stored_backend!r}; this server runs {self.backend!r}",
-            )
         k = state.k if admission.k is None else admission.k
         if k != state.k:
             raise ServiceError(
@@ -1187,9 +1186,9 @@ class AnonymizationService:
         )
         return (
             state, k,
-            _key_from_hash(digest, k, "incremental", self.backend),
+            _key_from_hash(digest, k, "incremental", RUNTIME_BACKEND),
             _key_from_hash(
-                digest, k, "incremental", self.backend, state=True
+                digest, k, "incremental", RUNTIME_BACKEND, state=True
             ),
         )
 
@@ -1237,7 +1236,7 @@ class AnonymizationService:
                     "state": state,
                     "k": job.task.k,
                     "algorithm": "incremental",
-                    "backend": job.task.backend,
+                    "backend": RUNTIME_BACKEND,
                 })
             self.cache.put(job.key, outcome)
         response = _solution(outcome, cache=cache, op=job.op)
@@ -1358,7 +1357,6 @@ class AnonymizationService:
         return {
             "protocol": PROTOCOL_VERSION,
             "uptime_seconds": time.time() - self.started_at,
-            "backend": self.backend,
             "jobs": self.jobs,
             "requests": dict(self.requests),
             "rejected": self.rejected,

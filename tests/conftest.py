@@ -5,15 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.backend import available_backends, default_backend_name
 from repro.core.table import Table
-
-
-def pytest_report_header(config) -> str:
-    return (
-        f"repro backend: {default_backend_name()} "
-        f"(available: {', '.join(available_backends())})"
-    )
 
 
 @pytest.fixture

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from repro.artifacts import ArtifactMismatchError, RunStore, table_hash
+from repro.artifacts import (
+    ArtifactMismatchError,
+    RunStore,
+    instance_key,
+    state_key,
+    table_hash,
+)
 from repro.core.table import Table
 from repro.experiments import k_sweep, ratio_experiment
 from repro.algorithms import CenterCoverAnonymizer
@@ -24,6 +30,34 @@ class TestTableHash:
         a = Table([(1, 2)], attributes=("x", "y"))
         b = Table([(1, 2)], attributes=("u", "v"))
         assert table_hash(a) != table_hash(b)
+
+
+class TestPinnedKeys:
+    """Cache and routing keys must not move: a disk cache written by an
+    older server is read as hits.  These values were recorded while the
+    backend was still a setting, with ``"numpy"`` passed for it."""
+
+    table = Table([(1, 2, "a"), (1, 2, "b"), (3, 4, "a")],
+                  attributes=("x", "y", "z"))
+
+    def test_instance_and_state_keys(self):
+        assert instance_key(self.table, 2, "center_cover", "numpy") == (
+            "a59d1b96397b49b394026614c8c14ce9"
+        )
+        assert state_key(self.table, 2, "incremental", "numpy") == (
+            "8febf1c9aba8b3b3b1fc4a0f96f47106"
+        )
+
+    def test_service_admission_keys(self):
+        from repro.service.server import admit
+
+        csv = self.table.to_csv()
+        assert admit({"csv": csv, "k": 2}).key == (
+            "7db520655f569b69d96430af02875e69"
+        )
+        assert admit(
+            {"csv": csv, "k": 2, "algorithm": "incremental"}
+        ).state_key == "095b2c9c51e6cdc76ea13eaa25dd9c77"
 
 
 class TestRunStore:

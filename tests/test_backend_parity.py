@@ -516,16 +516,31 @@ def test_available_backends_lists_python_and_numpy():
     assert available_backends() == ("python", "numpy")
 
 
-def test_default_backend_honours_env(monkeypatch):
+def test_repro_backend_no_longer_selects_a_runtime_backend(monkeypatch):
+    """``REPRO_BACKEND`` once picked the process's backend.  Now a
+    default solve, a service and a router all run numpy whatever it
+    says, and the python oracle answers only to its name."""
+    import asyncio
+
+    from repro import registry
+    from repro.artifacts import instance_key
+    from repro.service import AnonymizationService, ShardRouter
+
     monkeypatch.setenv("REPRO_BACKEND", "python")
-    assert default_backend_name() == "python"
-    monkeypatch.setenv("REPRO_BACKEND", "numpy")
     assert default_backend_name() == "numpy"
-    for removed in ("bitpacked", "fortran"):
-        monkeypatch.setenv("REPRO_BACKEND", removed)
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            default_backend_name()
-    monkeypatch.delenv("REPRO_BACKEND")
+    table = quasi_identifiers(census_table(12, seed=3))
+    assert get_backend(table).name == "numpy"
+    assert get_backend(table, "python").name == "python"
+    solved = registry.create("center_cover").anonymize(table, 2, trace=True)
+    assert solved.extras["trace"]["backend"] == "numpy"
+    request = {"csv": table.to_csv(), "k": 2}
+    response = asyncio.run(AnonymizationService().handle(request))
+    assert response["ok"] and response["backend"] == "numpy"
+    router = ShardRouter(["a:1"], health_interval=0.0)
+    assert router.routing_key(request) == instance_key(
+        Table.from_csv(request["csv"]), 2, "center_cover", "numpy"
+    )
+    monkeypatch.setenv("REPRO_BACKEND", "fortran")  # no longer even read
     assert default_backend_name() == "numpy"
 
 

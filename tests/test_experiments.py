@@ -169,20 +169,27 @@ class TestPrivacyExperiment:
 
 
 class TestRunnersNeverMutateAlgorithms:
-    """Regression: ``backend=`` used to be written onto the caller's
-    anonymizer instance, silently reconfiguring it for later calls."""
+    """Regression: per-call settings used to be written onto the
+    caller's anonymizer instance, silently reconfiguring it for later
+    calls.  The instance's own ``backend`` (the python oracle here)
+    rides along to every trial."""
 
     def test_ratio_experiment_leaves_backend_alone(self):
-        algorithm = CenterCoverAnonymizer()
-        assert algorithm.backend is None
-        ratio_experiment(algorithm, k=2, n=6, trials=2, backend="python")
-        assert algorithm.backend is None
+        algorithm = CenterCoverAnonymizer(backend="python")
+        oracle = ratio_experiment(algorithm, k=2, n=6, trials=2,
+                                  timeout=60.0, trace=True)
+        assert algorithm.backend == "python"
+        assert algorithm.budget is None and algorithm.trace is None
+        runtime = ratio_experiment(CenterCoverAnonymizer(), k=2, n=6,
+                                   trials=2)
+        assert oracle.rows == runtime.rows
 
     def test_k_sweep_leaves_backend_alone(self):
         table = uniform_table(20, 3, alphabet_size=3, seed=4)
         algorithm = CenterCoverAnonymizer(backend="python")
-        k_sweep(table, ks=(2, 3), algorithm=algorithm, backend="numpy")
+        oracle = k_sweep(table, ks=(2, 3), algorithm=algorithm)
         assert algorithm.backend == "python"
+        assert oracle == k_sweep(table, ks=(2, 3))
 
     def test_comparison_leaves_factories_products_alone(self):
         table = uniform_table(12, 3, alphabet_size=3, seed=5)
@@ -193,5 +200,5 @@ class TestRunnersNeverMutateAlgorithms:
             built.append(algorithm)
             return algorithm
 
-        comparison(table, 2, {"center": factory}, backend="python")
-        assert built and all(a.backend is None for a in built)
+        comparison(table, 2, {"center": factory}, trace=True)
+        assert built and all(a.trace is None for a in built)

@@ -111,7 +111,6 @@ class TestWorkerBehaviour:
                              jobs=0)
 
     def test_caller_instance_not_mutated_by_parallel_run(self):
-        algorithm = CenterCoverAnonymizer()
-        ratio_experiment(algorithm, k=2, n=6, trials=2, jobs=2,
-                         backend="python")
-        assert algorithm.backend is None
+        algorithm = CenterCoverAnonymizer(backend="python")
+        ratio_experiment(algorithm, k=2, n=6, trials=2, jobs=2, trace=True)
+        assert algorithm.backend == "python" and algorithm.trace is None

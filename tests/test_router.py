@@ -76,8 +76,7 @@ def fleet():
 
 class TestRoutingKey:
     def setup_method(self):
-        self.router = ShardRouter(["a:1", "b:2"], backend="python",
-                                  health_interval=0.0)
+        self.router = ShardRouter(["a:1", "b:2"], health_interval=0.0)
         csv = quasi_identifiers(census_table(16, seed=0)).to_csv()
         # the wire table: exactly what a shard parses at admission
         self.table = Table.from_csv(csv)
@@ -88,7 +87,7 @@ class TestRoutingKey:
 
     def test_matches_the_shards_cache_key(self):
         key = self.router.routing_key(self.request)
-        assert key == instance_key(self.table, 2, "center_cover", "python")
+        assert key == instance_key(self.table, 2, "center_cover", "numpy")
 
     def test_aliases_canonicalize_to_one_key(self):
         """``center`` and ``center_cover`` must not land on two
@@ -116,7 +115,7 @@ class TestRoutingKey:
         key = self.router.routing_key(
             {**self.request, "algorithm": "incremental"}
         )
-        assert key == state_key(self.table, 2, "incremental", "python")
+        assert key == state_key(self.table, 2, "incremental", "numpy")
 
     def test_delta_routes_on_the_request_state_key(self):
         key = "ab" * 16
@@ -162,8 +161,7 @@ class TestRoutingKeyParity:
         privacy_csv = quasi_identifiers(census_table(16, seed=1)).to_csv()
         cache = SolutionCache()
         service = AnonymizationService(cache=cache, max_timeout=max_timeout)
-        router = ShardRouter(["a:1", "b:2"], backend=service.backend,
-                             health_interval=0.0)
+        router = ShardRouter(["a:1", "b:2"], health_interval=0.0)
         # a stored snapshot for the delta request to continue
         solved = asyncio.run(AnonymizationService(cache=cache).handle({
             "op": "anonymize", "csv": csv, "k": 2,
@@ -213,7 +211,7 @@ class TestAddresses:
 class TestMergeShardStats:
     def test_counters_sum_and_hit_rate_recomputes(self):
         merged = merge_shard_stats({
-            "a:1": {"backend": "python", "jobs": 1, "uptime_seconds": 5.0,
+            "a:1": {"jobs": 1, "uptime_seconds": 5.0,
                     "requests": {"anonymize": 4, "stats": 1},
                     "rejected": 1, "coalesced": 2, "planned": 1,
                     "solved_instances": 3,
@@ -221,7 +219,7 @@ class TestMergeShardStats:
                               "max_entries": 256},
                     "batches": {"count": 2, "max_size": 2,
                                 "mean_size": 1.5}},
-            "b:2": {"backend": "python", "jobs": 2, "uptime_seconds": 9.0,
+            "b:2": {"jobs": 2, "uptime_seconds": 9.0,
                     "requests": {"anonymize": 2},
                     "rejected": 0, "coalesced": 0, "planned": 0,
                     "solved_instances": 2,
@@ -230,7 +228,6 @@ class TestMergeShardStats:
                     "batches": {"count": 4, "max_size": 3,
                                 "mean_size": 1.0}},
         })
-        assert merged["backend"] == "python"
         assert merged["jobs"] == 3
         assert merged["uptime_seconds"] == 9.0
         assert merged["requests"] == {"anonymize": 6, "stats": 1}
@@ -243,13 +240,6 @@ class TestMergeShardStats:
         assert batches["count"] == 6 and batches["max_size"] == 3
         # size-weighted: (2*1.5 + 4*1.0) / 6
         assert batches["mean_size"] == pytest.approx(7 / 6)
-
-    def test_mixed_backends_are_reported_not_hidden(self):
-        merged = merge_shard_stats({
-            "a:1": {"backend": "python"},
-            "b:2": {"backend": "numpy"},
-        })
-        assert merged["backend"] == "numpy,python"
 
     def test_empty_fleet_merges_to_zeroes(self):
         merged = merge_shard_stats({})
@@ -509,6 +499,9 @@ class _UnnoticedDeadWriter:
     def close(self) -> None:
         self.closed = True
 
+    async def wait_closed(self) -> None:
+        pass
+
 
 class TestStreamPool:
     def test_sequential_forwards_share_one_stream(self, shard, accepts):
@@ -629,13 +622,29 @@ class TestStreamPool:
         assert not [w for w in caught
                     if issubclass(w.category, ResourceWarning)]
 
-    def test_a_router_serves_a_second_event_loop(self, shard):
-        """Streams pooled on a finished loop are dropped, not reused."""
-        _, address = shard
+    def test_a_router_serves_a_second_event_loop(self, shard, accepts):
+        """Streams pooled on another loop are closed and dropped, not
+        reused.  The first loop stays open until its stream's transport
+        is gone, and the second stops the router, so no socket leaks."""
+        server, address = shard
         router = ShardRouter([address], health_interval=0.0)
         request = solve_request(tables(1, rows=8)[0])
-        assert asyncio.run(router.handle(request))["ok"]
-        assert asyncio.run(router.handle(request))["cache"] == "hit"
+
+        async def on_the_second_loop():
+            response = await router.handle(request)
+            await router.stop()
+            return response
+
+        first = asyncio.new_event_loop()
+        try:
+            assert first.run_until_complete(router.handle(request))["ok"]
+            (stale,) = router._idle[address]
+            assert asyncio.run(on_the_second_loop())["cache"] == "hit"
+            assert stale[1].is_closing()
+        finally:
+            first.run_until_complete(asyncio.sleep(0))
+            first.close()
+        assert accepts[server.handler] == 2
 
     def test_a_cancelled_forward_never_returns_its_stream(self, shard):
         server, address = shard

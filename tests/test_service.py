@@ -430,6 +430,40 @@ class TestDispatchRule:
         assert started == [2]  # the queued job never started
         assert service.cache.as_dict()["entries"] == 0
 
+    def test_loop_shutdown_does_not_wait_for_a_dropped_inline_solve(
+        self, monkeypatch
+    ):
+        """A ``jobs=1`` solve that ``stop()`` dropped keeps running on a
+        thread that neither the loop's shutdown nor interpreter exit
+        waits for, so ``asyncio.run`` returns long before it ends."""
+        from repro.service import server as server_module
+
+        release = threading.Event()
+
+        def solve_until_released(task):
+            release.wait(5.0)
+            return {"error": "released", "code": "internal"}
+
+        monkeypatch.setattr(server_module, "_solve_task", solve_until_released)
+        service = AnonymizationService(jobs=1)
+
+        async def scenario():
+            answer = asyncio.ensure_future(
+                service.handle(self._requests(1)[0])
+            )
+            await asyncio.sleep(0.1)
+            await service.stop()
+            return await answer
+
+        began = time.monotonic()
+        try:
+            response = run(scenario())
+            elapsed = time.monotonic() - began
+        finally:
+            release.set()
+        assert response["code"] == "internal"
+        assert elapsed < 2.0  # the solve would hold it for 5 s
+
 
 class TestTaskShape:
     """A task for a worker process carries the request's text; the
@@ -581,7 +615,7 @@ class TestAdmissionControl:
             outcome = {
                 "csv": table.to_csv(), "stars": 0,
                 "algorithm": "center_cover", "k": 3,
-                "backend": service.backend, "deadline_hit": True,
+                "backend": "numpy", "deadline_hit": True,
                 "solve_seconds": 0.01, "trace": None,
             }
             response = service._finish(job, outcome, cache="miss")

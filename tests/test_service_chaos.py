@@ -43,7 +43,7 @@ def run(coro):
 def _task(table: Table, k: int = 3, **overrides) -> _SolveTask:
     options = dict(
         csv=table.to_csv(), header=True, k=k, algorithm="center_cover",
-        backend="python", timeout=None, trace=False,
+        timeout=None, trace=False,
     )
     options.update(overrides)
     return _SolveTask(**options)
@@ -70,7 +70,7 @@ class TestFollowerBudget:
             # key the way the server will: from the parsed wire CSV
             # (the workload table holds ints that become strings there)
             wire = Table.from_csv(table.to_csv(), header=True)
-            key = instance_key(wire, 3, "center_cover", service.backend)
+            key = instance_key(wire, 3, "center_cover", "numpy")
             # a leader that never resolves — the pre-fix follower would
             # wait on it forever despite its 50 ms budget
             service._inflight[key] = asyncio.get_running_loop().create_future()

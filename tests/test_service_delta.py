@@ -93,7 +93,7 @@ class TestDeltaCore:
             service,
             _solve_request(base),
             {"op": "delta", "state_key": state_key(
-                base, 3, "incremental", service.backend
+                base, 3, "incremental", "numpy"
             ), "csv": delta.to_csv()},
         ))
         assert growth["ok"] and growth["op"] == "delta"
@@ -105,7 +105,7 @@ class TestDeltaCore:
         assert growth["delta"]["rows_total"] == grown.n_rows
         # the next chain link is keyed by the grown table
         assert growth["state_key"] == state_key(
-            grown, 3, "incremental", service.backend
+            grown, 3, "incremental", "numpy"
         )
 
     def test_untouched_groups_keep_images_byte_identical(self):
@@ -115,7 +115,7 @@ class TestDeltaCore:
             service,
             _solve_request(base),
             {"op": "delta", "state_key": state_key(
-                base, 3, "incremental", service.backend
+                base, 3, "incremental", "numpy"
             ), "csv": delta.to_csv()},
         ))
         before = Table.from_csv(solve["csv"]).rows
@@ -135,7 +135,7 @@ class TestDeltaCore:
             service,
             _solve_request(base),
             {"op": "delta", "state_key": state_key(
-                base, 3, "incremental", service.backend
+                base, 3, "incremental", "numpy"
             ), "csv": delta.to_csv()},
             dict(_solve_request(grown), use_cache=False),
         ))
@@ -149,10 +149,10 @@ class TestDeltaCore:
             service,
             _solve_request(base),
             {"op": "delta", "state_key": state_key(
-                base, 3, "incremental", service.backend
+                base, 3, "incremental", "numpy"
             ), "csv": delta.to_csv()},
             {"op": "delta", "state_key": state_key(
-                base, 3, "incremental", service.backend
+                base, 3, "incremental", "numpy"
             ), "csv": delta.to_csv()},
             _solve_request(grown),
         ))
@@ -163,7 +163,7 @@ class TestDeltaCore:
         assert cold["cache"] == "hit"
         assert repeat["state_key"] == growth["state_key"]
         assert instance_key(
-            grown, 3, "incremental", service.backend
+            grown, 3, "incremental", "numpy"
         ) in service.cache
 
     def test_chained_deltas_compose(self):
@@ -177,14 +177,14 @@ class TestDeltaCore:
             service,
             _solve_request(base),
             {"op": "delta", "state_key": state_key(
-                base, 3, "incremental", service.backend
+                base, 3, "incremental", "numpy"
             ), "csv": delta1.to_csv()},
             {"op": "delta", "state_key": state_key(
-                mid, 3, "incremental", service.backend
+                mid, 3, "incremental", "numpy"
             ), "csv": delta2.to_csv()},
         ))
         assert first["state_key"] == state_key(
-            mid, 3, "incremental", service.backend
+            mid, 3, "incremental", "numpy"
         )
         assert second["ok"]
         released = Table.from_csv(second["csv"])
@@ -199,7 +199,7 @@ class TestDeltaCore:
             try:
                 await service.handle(_solve_request(base))
                 request = {"op": "delta", "state_key": state_key(
-                    base, 3, "incremental", service.backend
+                    base, 3, "incremental", "numpy"
                 ), "csv": delta.to_csv()}
                 return await asyncio.gather(
                     service.handle(dict(request)),
@@ -227,13 +227,13 @@ class TestSnapshotExport:
             _solve_request(base),
             dict(_solve_request(grown), use_cache=False),
             {"op": "delta", "state_key": state_key(
-                base, 3, "incremental", service.backend
+                base, 3, "incremental", "numpy"
             ), "csv": delta.to_csv(), "use_cache": False},
         ))
         assert bypass["ok"] and growth["ok"]
         assert "state_key" not in bypass and "state_key" not in growth
         assert state_key(
-            grown, 3, "incremental", service.backend
+            grown, 3, "incremental", "numpy"
         ) not in service.cache
         assert growth["csv"] == bypass["csv"]
 
@@ -242,7 +242,7 @@ class TestSnapshotExport:
         base, _, _ = grown_pair()
         outcome = _solve_task(_SolveTask(
             csv=base.to_csv(), header=True, k=3, algorithm="incremental",
-            backend="python", timeout=None, trace=False,
+            timeout=None, trace=False,
             keep_state=keep_state,
         ))
         assert (outcome["state"] is not None) is keep_state
@@ -284,7 +284,7 @@ class TestSnapshotExport:
         assert (batches["count"], batches["max_size"]) == (2, 2)
         assert bypass["cache"] == "bypass" and cached["cache"] == "miss"
         assert cached["state_key"] == state_key(
-            base, 3, "incremental", service.backend
+            base, 3, "incremental", "numpy"
         )
         assert cached["state_key"] in service.cache
 
@@ -324,7 +324,7 @@ class TestDeltaRejections:
             service,
             _solve_request(base),
             {"op": "delta", "state_key": state_key(
-                base, 3, "incremental", service.backend
+                base, 3, "incremental", "numpy"
             ), "csv": delta.to_csv(), "k": 4},
         ))
         assert not response["ok"]
@@ -339,7 +339,7 @@ class TestDeltaRejections:
             service,
             _solve_request(base),
             {"op": "delta", "state_key": state_key(
-                base, 3, "incremental", service.backend
+                base, 3, "incremental", "numpy"
             ), "csv": narrow.to_csv()},
         ))
         assert response["code"] == "bad-request"
@@ -356,7 +356,7 @@ class TestDeltaRejections:
             service,
             _solve_request(base),
             {"op": "delta", "state_key": state_key(
-                base, 3, "incremental", service.backend
+                base, 3, "incremental", "numpy"
             ), "csv": renamed.to_csv()},
         ))
         assert response["code"] == "bad-request"
@@ -370,7 +370,7 @@ class TestDeltaRejections:
             service,
             _solve_request(base),
             {"op": "delta", "state_key": state_key(
-                base, 3, "incremental", service.backend
+                base, 3, "incremental", "numpy"
             ), "csv": header_only},
         ))
         assert response["code"] == "bad-request"
@@ -379,7 +379,7 @@ class TestDeltaRejections:
     def test_unusable_stored_state_is_unknown_state(self):
         base, delta, _ = grown_pair()
         service = AnonymizationService()
-        key = state_key(base, 3, "incremental", service.backend)
+        key = state_key(base, 3, "incremental", "numpy")
         (solve,) = run(_served(service, _solve_request(base)))
         # sabotage the stored entry the way a foreign writer could
         service.cache.put(key, {"not-a-state": True})

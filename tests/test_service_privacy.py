@@ -216,21 +216,19 @@ class TestServicePrivacyFlow:
 class TestRouterPrivacyKeying:
     def test_routing_key_matches_server_key(self):
         table = small_table()
-        router = ShardRouter.__new__(ShardRouter)
-        router.backend = "python"
+        router = ShardRouter(["a:1"], health_interval=0.0)
         request = privacy_request(table, l=2)
         key = router.routing_key(request)
         # the router keys the table it parses off the wire
         parsed = Table.from_csv(table.to_csv())
         privacy = normalize_privacy({"l": 2}, parsed.degree)
         assert key == instance_key(
-            parsed, 2, "center_cover", "python", privacy=privacy
+            parsed, 2, "center_cover", "numpy", privacy=privacy
         )
 
     def test_privacy_incremental_is_unroutable(self):
         table = small_table()
-        router = ShardRouter.__new__(ShardRouter)
-        router.backend = "python"
+        router = ShardRouter(["a:1"], health_interval=0.0)
         request = privacy_request(table, epsilon=1.0)
         request["algorithm"] = "incremental"
         assert router.routing_key(request) is None
